@@ -7,6 +7,7 @@ import (
 
 	"dbsherlock/internal/anomaly"
 	"dbsherlock/internal/detect"
+	"dbsherlock/internal/ingest"
 	"dbsherlock/internal/metrics"
 	"dbsherlock/internal/obs"
 	"dbsherlock/internal/workload"
@@ -179,17 +180,23 @@ func requireSameAlerts(t *testing.T, ctx string, got, want []Alert) {
 	}
 }
 
+// goldenTrace is the scripted multi-anomaly trace the golden alert
+// stream tests replay.
+func goldenTrace(t *testing.T, seed int64) *metrics.Dataset {
+	return simTrace(t, 900, []anomaly.Injection{
+		{Kind: anomaly.CPUSaturation, Start: 200, Duration: 60},
+		{Kind: anomaly.IOSaturation, Start: 450, Duration: 45},
+		{Kind: anomaly.NetworkCongestion, Start: 720, Duration: 60},
+	}, seed)
+}
+
 // TestMonitorGoldenAlertStream is the PR's headline equivalence: across
 // a scripted multi-anomaly trace, chunk sizes, worker counts, and with
 // the registry on and off, the streaming monitor's alert stream is
 // byte-identical to the snapshot-based reference monitor's.
 func TestMonitorGoldenAlertStream(t *testing.T) {
 	for _, seed := range []int64{1, 9} {
-		trace := simTrace(t, 900, []anomaly.Injection{
-			{Kind: anomaly.CPUSaturation, Start: 200, Duration: 60},
-			{Kind: anomaly.IOSaturation, Start: 450, Duration: 45},
-			{Kind: anomaly.NetworkCongestion, Start: 720, Duration: 60},
-		}, seed)
+		trace := goldenTrace(t, seed)
 		for _, chunk := range []int{7, 30, 120} {
 			for _, workers := range []int{1, 2, 8} {
 				for _, traced := range []bool{false, true} {
@@ -256,4 +263,54 @@ func TestMonitorGoldenCustomDetector(t *testing.T) {
 		t.Fatal("reference monitor raised no alerts")
 	}
 	requireSameAlerts(t, "threshold", got, want)
+}
+
+// TestIngestGoldenAlertStream pins the fleet ingestion plane to the
+// same verbatim reference: one ingest.Registry instance fed the golden
+// traces raises alerts whose spans, selected attributes and window
+// lengths equal refMonitor's, across chunk sizes and worker counts.
+func TestIngestGoldenAlertStream(t *testing.T) {
+	for _, seed := range []int64{1, 9} {
+		trace := goldenTrace(t, seed)
+		for _, chunk := range []int{7, 30, 120} {
+			for _, workers := range []int{1, 8} {
+				ctx := fmt.Sprintf("seed=%d chunk=%d workers=%d", seed, chunk, workers)
+				var want []Alert
+				ref := newRefMonitor(Config{WindowSeconds: 300, CheckEvery: 30}, func(a Alert) { want = append(want, a) })
+				reg := ingest.New(ingest.Config{WindowRows: 300, CheckEvery: 30, Workers: workers})
+				sub := reg.Subscribe("acme")
+				for _, c := range chunked(t, trace, chunk) {
+					if err := ref.Append(c); err != nil {
+						t.Fatal(err)
+					}
+					if err := reg.Ingest("acme", "db-1", c); err != nil {
+						t.Fatal(err)
+					}
+				}
+				reg.Close() // closes sub.C after the buffered alerts
+				var got []ingest.Alert
+				for a := range sub.C {
+					got = append(got, a)
+				}
+				if len(want) == 0 {
+					t.Fatalf("%s: reference monitor raised no alerts", ctx)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d alerts, reference has %d", ctx, len(got), len(want))
+				}
+				for i := range got {
+					if got[i].FromTime != want[i].FromTime || got[i].ToTime != want[i].ToTime {
+						t.Fatalf("%s: alert %d span [%d,%d), reference [%d,%d)",
+							ctx, i, got[i].FromTime, got[i].ToTime, want[i].FromTime, want[i].ToTime)
+					}
+					if !reflect.DeepEqual(got[i].SelectedAttrs, want[i].SelectedAttrs) {
+						t.Fatalf("%s: alert %d attrs %v, reference %v", ctx, i, got[i].SelectedAttrs, want[i].SelectedAttrs)
+					}
+					if got[i].WindowRows != want[i].Window.Rows() {
+						t.Fatalf("%s: alert %d window %d rows, reference %d", ctx, i, got[i].WindowRows, want[i].Window.Rows())
+					}
+				}
+			}
+		}
+	}
 }
