@@ -17,6 +17,7 @@
 package dbsherlock_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -46,7 +47,7 @@ func BenchmarkExplainAllocs(b *testing.B) {
 		b.Run(sc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := a.Explain(data.ds, data.abn, nil); err != nil {
+				if _, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: data.ds, Abnormal: data.abn}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -67,12 +68,13 @@ func TestExplainAllocCeiling(t *testing.T) {
 	// Warm once so the one-time prepared-index build (cached by dataset
 	// generation, shared across requests) doesn't smear into the
 	// steady-state per-request count.
-	if _, err := a.Explain(data.ds, data.abn, nil); err != nil {
+	req := dbsherlock.DiagnoseRequest{Dataset: data.ds, Abnormal: data.abn}
+	if _, err := a.Diagnose(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
 	var err error
 	allocs := testing.AllocsPerRun(20, func() {
-		_, err = a.Explain(data.ds, data.abn, nil)
+		_, err = a.Diagnose(context.Background(), req)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,16 +103,11 @@ func TestExplainGoldenAcrossWorkersAndTracing(t *testing.T) {
 			for _, traced := range []bool{false, true} {
 				name := fmt.Sprintf("%s/workers=%d/traced=%v", sc.name, workers, traced)
 				a := benchAnalyzer(t, workers, true)
-				var expl *dbsherlock.Explanation
-				var err error
-				if traced {
-					expl, err = a.ExplainTraced(data.ds, data.abn, nil)
-				} else {
-					expl, err = a.Explain(data.ds, data.abn, nil)
-				}
+				res, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: data.ds, Abnormal: data.abn, Trace: traced})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
+				expl := res.Explanation
 				if traced && expl.Trace == nil {
 					t.Errorf("%s: traced run carries no snapshot", name)
 				}

@@ -11,6 +11,7 @@
 package dbsherlock_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -28,16 +29,11 @@ func BenchmarkExplainTracing(b *testing.B) {
 			if traced {
 				mode = "on"
 			}
+			req := dbsherlock.DiagnoseRequest{Dataset: data.ds, Abnormal: data.abn, Trace: traced}
 			b.Run(fmt.Sprintf("%s/trace=%s", sc.name, mode), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					var err error
-					if traced {
-						_, err = a.ExplainTraced(data.ds, data.abn, nil)
-					} else {
-						_, err = a.Explain(data.ds, data.abn, nil)
-					}
-					if err != nil {
+					if _, err := a.Diagnose(context.Background(), req); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -78,14 +74,15 @@ func TestTracedExplainMatchesUntraced(t *testing.T) {
 		}
 	}
 
-	base, err := plain.Explain(ds, abn, nil)
+	bres, err := plain.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: abn})
 	if err != nil {
 		t.Fatal(err)
 	}
-	instr, err := traced.Explain(ds, abn, nil)
+	ires, err := traced.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: abn})
 	if err != nil {
 		t.Fatal(err)
 	}
+	base, instr := bres.Explanation, ires.Explanation
 
 	if base.Trace != nil {
 		t.Error("untraced analyzer attached a trace")

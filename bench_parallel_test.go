@@ -13,6 +13,7 @@ package dbsherlock_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -119,7 +120,7 @@ func BenchmarkExplainWorkers(b *testing.B) {
 			a := benchAnalyzer(b, workers, true)
 			b.Run(fmt.Sprintf("%s/workers=%d", sc.name, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := a.Explain(data.ds, data.abn, nil); err != nil {
+					if _, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: data.ds, Abnormal: data.abn}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -138,7 +139,7 @@ func BenchmarkRankWorkers(b *testing.B) {
 			a := benchAnalyzer(b, workers, true)
 			b.Run(fmt.Sprintf("%s/workers=%d", sc.name, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := a.RankAll(data.ds, data.abn, nil); err != nil {
+					if _, err := a.RankAllContext(context.Background(), data.ds, data.abn, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -157,7 +158,7 @@ func BenchmarkGenerateWorkers(b *testing.B) {
 			a := benchAnalyzer(b, workers, false)
 			b.Run(fmt.Sprintf("%s/workers=%d", sc.name, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := a.Explain(data.ds, data.abn, nil); err != nil {
+					if _, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: data.ds, Abnormal: data.abn}); err != nil {
 						b.Fatal(err)
 					}
 				}

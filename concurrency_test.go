@@ -1,5 +1,5 @@
 // Concurrency battery for the Analyzer's locking contract: many
-// goroutines exercising the read paths (Explain, Detect, RankAll, model
+// goroutines exercising the read paths (Diagnose, Detect, RankAllContext, model
 // accessors, SaveModels) while others drive the write paths (LearnCause,
 // AddModel, RecordRemediation, LoadModels) on one shared Analyzer.
 // The assertions are deliberately light — the test's job is to give the
@@ -9,6 +9,7 @@ package dbsherlock_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -37,7 +38,7 @@ func TestAnalyzerConcurrentUse(t *testing.T) {
 	ds, abn := raceTrace(t, dbsherlock.LockContention, 1)
 	ds2, abn2 := raceTrace(t, dbsherlock.NetworkCongestion, 2)
 
-	// Seed one cause so Explain exercises the ranking path from the
+	// Seed one cause so Diagnose exercises the ranking path from the
 	// start, and capture a valid store for the LoadModels goroutine.
 	if _, err := a.LearnCause("Lock Contention", ds, abn, nil); err != nil {
 		t.Fatal(err)
@@ -66,10 +67,11 @@ func TestAnalyzerConcurrentUse(t *testing.T) {
 
 	for g := 0; g < 4; g++ {
 		run("explain", func(int) error {
-			expl, err := a.Explain(ds, abn, nil)
+			res, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: abn})
 			if err != nil {
 				return err
 			}
+			expl := res.Explanation
 			if len(expl.Predicates) == 0 {
 				return fmt.Errorf("no predicates")
 			}
@@ -84,7 +86,7 @@ func TestAnalyzerConcurrentUse(t *testing.T) {
 	}
 	for g := 0; g < 2; g++ {
 		run("rankall", func(int) error {
-			ranked, err := a.RankAll(ds2, abn2, nil)
+			ranked, err := a.RankAllContext(context.Background(), ds2, abn2, nil)
 			if err != nil {
 				return err
 			}
@@ -149,7 +151,7 @@ func TestAnalyzerConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestAnalyzerParallelExplainGolden runs the same Explain concurrently
+// TestAnalyzerParallelExplainGolden runs the same diagnosis concurrently
 // on a read-only Analyzer and checks all goroutines get identical
 // results — the read path must be side-effect free.
 func TestAnalyzerParallelExplainGolden(t *testing.T) {
@@ -158,10 +160,11 @@ func TestAnalyzerParallelExplainGolden(t *testing.T) {
 	if _, err := a.LearnCause("CPU Saturation", ds, abn, nil); err != nil {
 		t.Fatal(err)
 	}
-	golden, err := a.Explain(ds, abn, nil)
+	res, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: abn})
 	if err != nil {
 		t.Fatal(err)
 	}
+	golden := res.Explanation
 	goldenRepr := fmt.Sprintf("%+v", golden)
 
 	var wg sync.WaitGroup
@@ -170,11 +173,12 @@ func TestAnalyzerParallelExplainGolden(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			expl, err := a.Explain(ds, abn, nil)
+			res, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: abn})
 			if err != nil {
 				errs <- err
 				return
 			}
+			expl := res.Explanation
 			if repr := fmt.Sprintf("%+v", expl); repr != goldenRepr {
 				errs <- fmt.Errorf("explanation diverged:\n got %s\nwant %s", repr, goldenRepr)
 			}

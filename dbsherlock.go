@@ -6,8 +6,7 @@
 // and fed back, with ranked human-readable causes backed by causal
 // models.
 //
-// Typical use (Diagnose is the context-first entry point; the legacy
-// Explain/RankAll methods remain as thin wrappers):
+// Typical use (Diagnose is the context-first entry point):
 //
 //	a := dbsherlock.New()
 //	res, err := a.Diagnose(ctx, dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: abnormalRegion})
@@ -41,10 +40,11 @@ import (
 // Analyzer is the top-level diagnostic engine: predicate generation
 // parameters, accumulated causal models, and optional domain knowledge.
 //
-// An Analyzer is safe for concurrent use. Explain, Detect, RankAll, and
-// the model accessors are read-mostly and run in parallel with each
-// other; LearnCause, AddModel, RecordRemediation, and LoadModels are
-// serialized writes against the RWMutex-guarded model repository.
+// An Analyzer is safe for concurrent use. Diagnose, Detect,
+// RankAllContext, and the model accessors are read-mostly and run in
+// parallel with each other; LearnCause, AddModel, RecordRemediation,
+// and LoadModels are serialized writes against the RWMutex-guarded
+// model repository.
 // Parameters and domain knowledge are fixed at construction. The
 // per-attribute and per-model hot paths additionally fan out across a
 // bounded worker pool (see WithWorkers) with output byte-identical to a
@@ -145,13 +145,13 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithTracing makes every Explain record a per-stage diagnosis trace
+// WithTracing makes every Diagnose record a per-stage diagnosis trace
 // (partitioning, filtering, gap filling, predicate extraction, pruning,
 // scoring, model ranking — see internal/obs) and attach its snapshot to
 // the Explanation. Without this option traces are off and cost nothing:
 // the hot path sees a nil trace pointer and skips all instrumentation.
 // Callers that want a trace for a single call regardless of this option
-// can use ExplainTraced or RankAllTraced.
+// set DiagnoseRequest.Trace.
 func WithTracing() Option {
 	return func(a *Analyzer) error {
 		a.tracing = true
@@ -177,7 +177,7 @@ func WithDomainKnowledge(rules []Rule) Option {
 func (a *Analyzer) Params() Params { return a.params }
 
 // Prewarm builds and caches the prepared per-column index for ds under
-// this analyzer's partition count, so the first Explain/Diagnose against
+// this analyzer's partition count, so the first Diagnose against
 // the dataset skips the min/max/bucketing pass and starts from the
 // counting kernels. It is cheap to call redundantly: a dataset whose
 // columns have not changed since the last Prewarm is a cache hit and no
@@ -206,7 +206,7 @@ type Explanation struct {
 	// fall back to Predicates).
 	Causes []RankedCause
 	// Trace is the per-stage diagnosis trace, non-nil only when tracing
-	// was enabled (WithTracing or ExplainTraced).
+	// was enabled (WithTracing or DiagnoseRequest.Trace).
 	Trace *TraceSnapshot
 }
 
@@ -267,17 +267,17 @@ type DiagnoseRequest struct {
 	CaptureState bool
 }
 
-// DiagnoseResult is the output of Diagnose: the full explanation (the
-// legacy Explain result), the complete model ranking (the legacy
-// RankAll result), and the trace snapshot when tracing was requested.
+// DiagnoseResult is the output of Diagnose: the full explanation, the
+// complete model ranking, and the trace snapshot when tracing was
+// requested.
 type DiagnoseResult struct {
 	// Explanation carries the generated predicates, their
 	// separation-power ranking, pruned secondary symptoms, and the causes
 	// whose confidence clears lambda.
 	Explanation *Explanation
 	// AllCauses ranks every known causal model by confidence without
-	// applying the lambda threshold (RankAll semantics), so callers can
-	// inspect margins.
+	// applying the lambda threshold (RankAllContext semantics), so
+	// callers can inspect margins.
 	AllCauses []RankedCause
 	// Trace is the per-stage diagnosis trace, non-nil only when tracing
 	// was requested (DiagnoseRequest.Trace or WithTracing).
@@ -292,14 +292,12 @@ type DiagnoseResult struct {
 // Diagnose runs one full diagnosis under a context: it generates
 // predicates with high separation power (Algorithm 1), prunes secondary
 // symptoms if domain knowledge is installed, and ranks every known
-// causal model by confidence (Equation 3). It subsumes the legacy
-// Explain, ExplainTraced, RankAll, and RankAllTraced methods, which
-// remain as thin wrappers.
+// causal model by confidence (Equation 3).
 //
 // Cancellation is cooperative and prompt: the engine checks ctx between
 // per-attribute and per-model work items and returns ctx.Err() without
-// finishing the pass. An uncancelled call produces output byte-identical
-// to the legacy API.
+// finishing the pass. An uncancelled call's output does not depend on
+// the context.
 func (a *Analyzer) Diagnose(ctx context.Context, req DiagnoseRequest) (*DiagnoseResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -326,8 +324,9 @@ func (a *Analyzer) Diagnose(ctx context.Context, req DiagnoseRequest) (*Diagnose
 		return nil, err
 	}
 	if ranked == nil {
-		// Empty model repository: explainCtx skipped ranking. RankAll
-		// returns an empty, non-nil slice in that case; match it exactly.
+		// Empty model repository: explainCtx skipped ranking.
+		// RankAllContext returns an empty, non-nil slice in that case;
+		// match it exactly.
 		ranked = []RankedCause{}
 	}
 	res := &DiagnoseResult{Explanation: expl, AllCauses: ranked, State: state}
@@ -366,50 +365,14 @@ func (a *Analyzer) diagnoseReused(ctx context.Context, st *DiagnosisState, tr *o
 	return res, nil
 }
 
-// Explain diagnoses a user-perceived anomaly: it generates predicates
-// with high separation power (Algorithm 1), prunes secondary symptoms
-// if domain knowledge is installed, and ranks every known causal model
-// by confidence (Equation 3), returning those above lambda. With
-// WithTracing enabled the returned Explanation carries a per-stage
-// trace snapshot.
-//
-// Deprecated: use Diagnose(ctx, DiagnoseRequest{...}) — it honors
-// cancellation and deadlines and returns the full DiagnoseResult.
-// Explain remains as a thin wrapper with a background context.
-func (a *Analyzer) Explain(ds *Dataset, abnormal, normal *Region) (*Explanation, error) {
-	if a.tracing {
-		return a.ExplainTraced(ds, abnormal, normal)
-	}
-	expl, _, _, err := a.explainCtx(context.Background(), ds, abnormal, normal, nil, false)
-	return expl, err
-}
-
-// ExplainTraced is Explain with tracing forced on for this call,
-// regardless of the WithTracing option. The returned Explanation's
-// Trace field is always populated on success. It is equivalent to
-// Diagnose with DiagnoseRequest.Trace set.
-//
-// Deprecated: use Diagnose(ctx, DiagnoseRequest{Trace: true}) — it
-// honors cancellation and deadlines and returns the trace on the
-// DiagnoseResult.
-func (a *Analyzer) ExplainTraced(ds *Dataset, abnormal, normal *Region) (*Explanation, error) {
-	tr := obs.NewTrace(core.ResolveWorkers(a.params.Workers))
-	expl, _, _, err := a.explainCtx(context.Background(), ds, abnormal, normal, tr, false)
-	if err != nil {
-		return nil, err
-	}
-	expl.Trace = tr.Snapshot()
-	return expl, nil
-}
-
-// explainCtx is the shared diagnosis engine behind Diagnose, Explain,
-// and ExplainTraced. It returns the explanation plus, when the model
-// repository is non-empty, the full confidence ranking the lambda filter
-// was derived from (nil otherwise), so Diagnose gets RankAll's output
-// without ranking twice. With capture set it additionally snapshots the
-// evaluator and predicate slices into a reusable DiagnosisState (the
-// evaluator is then built trace-free, since it outlives this request's
-// trace; ranking output is unaffected). ctx errors are returned
+// explainCtx is the diagnosis engine behind Diagnose. It returns the
+// explanation plus, when the model repository is non-empty, the full
+// confidence ranking the lambda filter was derived from (nil
+// otherwise), so Diagnose gets RankAllContext's output without ranking
+// twice. With capture set it additionally snapshots the evaluator and
+// predicate slices into a reusable DiagnosisState (the evaluator is
+// then built trace-free, since it outlives this request's trace;
+// ranking output is unaffected). ctx errors are returned
 // unwrapped so callers can match them with errors.Is.
 func (a *Analyzer) explainCtx(ctx context.Context, ds *Dataset, abnormal, normal *Region, tr *obs.Trace, capture bool) (*Explanation, []RankedCause, *DiagnosisState, error) {
 	abnormal, normal, err := resolveRegions(ds, abnormal, normal)
@@ -540,43 +503,17 @@ func (a *Analyzer) Model(cause string) *CausalModel { return a.repository().Mode
 // Causes lists the known causes in the order they were first learned.
 func (a *Analyzer) Causes() []string { return a.repository().Causes() }
 
-// RankAll computes every known model's confidence for the given anomaly
-// without applying the lambda threshold (useful for inspecting margins).
-//
-// Deprecated: use Diagnose(ctx, DiagnoseRequest{...}) — the same
-// ranking is returned in DiagnoseResult.AllCauses — or RankAllContext
-// when only the ranking is needed under a context.
-func (a *Analyzer) RankAll(ds *Dataset, abnormal, normal *Region) ([]RankedCause, error) {
-	return a.RankAllContext(context.Background(), ds, abnormal, normal)
-}
-
-// RankAllContext is RankAll under a context: model scoring checks ctx
-// between models and returns ctx.Err() promptly once it fires.
+// RankAllContext computes every known model's confidence for the given
+// anomaly without applying the lambda threshold (useful for inspecting
+// margins) — DiagnoseResult.AllCauses without Algorithm 1. Model
+// scoring checks ctx between models and returns ctx.Err() promptly once
+// it fires.
 func (a *Analyzer) RankAllContext(ctx context.Context, ds *Dataset, abnormal, normal *Region) ([]RankedCause, error) {
 	abnormal, normal, err := resolveRegions(ds, abnormal, normal)
 	if err != nil {
 		return nil, err
 	}
 	return a.repository().RankCtx(ctx, ds, abnormal, normal, a.params)
-}
-
-// RankAllTraced is RankAll with a per-stage trace of the ranking pass
-// (evaluator warm-up, model scoring, spaces built/reused, models
-// ranked) recorded for this call.
-//
-// Deprecated: use Diagnose(ctx, DiagnoseRequest{Trace: true}) — the
-// ranking is DiagnoseResult.AllCauses and the trace rides the same
-// result.
-func (a *Analyzer) RankAllTraced(ds *Dataset, abnormal, normal *Region) ([]RankedCause, *TraceSnapshot, error) {
-	abnormal, normal, err := resolveRegions(ds, abnormal, normal)
-	if err != nil {
-		return nil, nil, err
-	}
-	tr := obs.NewTrace(core.ResolveWorkers(a.params.Workers))
-	params := a.params
-	params.Trace = tr
-	ranked := a.repository().Rank(ds, abnormal, normal, params)
-	return ranked, tr.Snapshot(), nil
 }
 
 // DetectResult is the outcome of automatic anomaly detection.

@@ -2,6 +2,7 @@ package dbsherlock_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -26,10 +27,11 @@ func simulateAnomaly(t *testing.T, kind dbsherlock.AnomalyKind, seed int64) (*db
 func TestExplainProducesPredicates(t *testing.T) {
 	ds, abn := simulateAnomaly(t, dbsherlock.LockContention, 1)
 	a := dbsherlock.MustNew()
-	expl, err := a.Explain(ds, abn, nil)
+	res, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: abn})
 	if err != nil {
 		t.Fatal(err)
 	}
+	expl := res.Explanation
 	if len(expl.Predicates) == 0 {
 		t.Fatal("no predicates")
 	}
@@ -70,10 +72,11 @@ func TestLearnCauseThenDiagnose(t *testing.T) {
 
 	// A fresh lock-contention anomaly must rank Lock Contention first.
 	ds, abn := simulateAnomaly(t, dbsherlock.LockContention, 99)
-	expl, err := a.Explain(ds, abn, nil)
+	res, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: abn})
 	if err != nil {
 		t.Fatal(err)
 	}
+	expl := res.Explanation
 	if len(expl.Causes) == 0 || expl.Causes[0].Cause != dbsherlock.LockContention.String() {
 		t.Fatalf("causes = %+v, want Lock Contention first", expl.Causes)
 	}
@@ -85,13 +88,13 @@ func TestLearnCauseThenDiagnose(t *testing.T) {
 func TestExplainValidation(t *testing.T) {
 	a := dbsherlock.MustNew()
 	ds, abn := simulateAnomaly(t, dbsherlock.CPUSaturation, 3)
-	if _, err := a.Explain(nil, abn, nil); err == nil {
+	if _, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Abnormal: abn}); err == nil {
 		t.Error("nil dataset: want error")
 	}
-	if _, err := a.Explain(ds, nil, nil); err == nil {
+	if _, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: ds}); err == nil {
 		t.Error("nil abnormal region: want error")
 	}
-	if _, err := a.Explain(ds, dbsherlock.NewRegion(ds.Rows()), nil); err == nil {
+	if _, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: dbsherlock.NewRegion(ds.Rows())}); err == nil {
 		t.Error("empty abnormal region: want error")
 	}
 	if _, err := a.LearnCause("", ds, abn, nil); err == nil {
@@ -121,14 +124,15 @@ func TestDomainKnowledgePruning(t *testing.T) {
 	ds, abn := simulateAnomaly(t, dbsherlock.IOSaturation, 4)
 	plain := dbsherlock.MustNew()
 	withRules := dbsherlock.MustNew(dbsherlock.WithDomainKnowledge(dbsherlock.MySQLLinuxRules()))
-	pe, err := plain.Explain(ds, abn, nil)
+	pres, err := plain.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: abn})
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := withRules.Explain(ds, abn, nil)
+	rres, err := withRules.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: abn})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pe, re := pres.Explanation, rres.Explanation
 	if len(re.Predicates)+len(re.Pruned) != len(pe.Predicates) {
 		t.Errorf("pruning bookkeeping: %d kept + %d pruned != %d plain",
 			len(re.Predicates), len(re.Pruned), len(pe.Predicates))
@@ -197,10 +201,11 @@ func TestAnomalyKindsComplete(t *testing.T) {
 func TestExplainRanksPredicatesBySeparationPower(t *testing.T) {
 	ds, abn := simulateAnomaly(t, dbsherlock.PoorlyWrittenQuery, 8)
 	a := dbsherlock.MustNew()
-	expl, err := a.Explain(ds, abn, nil)
+	res, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: abn})
 	if err != nil {
 		t.Fatal(err)
 	}
+	expl := res.Explanation
 	if len(expl.Ranked) != len(expl.Predicates) {
 		t.Fatalf("ranked %d vs predicates %d", len(expl.Ranked), len(expl.Predicates))
 	}

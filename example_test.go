@@ -1,6 +1,7 @@
 package dbsherlock_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,10 +20,11 @@ func Example() {
 		log.Fatal(err)
 	}
 	a := dbsherlock.MustNew()
-	expl, err := a.Explain(ds, abnormal, nil)
+	res, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: abnormal})
 	if err != nil {
 		log.Fatal(err)
 	}
+	expl := res.Explanation
 	fmt.Printf("predicates: %d, top separation power: %.2f\n",
 		len(expl.Predicates), expl.Ranked[0].SeparationPower)
 	// Output:
@@ -55,11 +57,11 @@ func ExampleAnalyzer_LearnCause() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	expl, err := a.Explain(ds, abnormal, nil)
+	res, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: abnormal})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("diagnosis:", expl.Causes[0].Cause)
+	fmt.Println("diagnosis:", res.Explanation.Causes[0].Cause)
 	// Output:
 	// diagnosis: Network Congestion
 }
@@ -104,7 +106,7 @@ func ExampleAnalyzer_Recommend() {
 	if err := a.RecordRemediation("Workload Spike", "throttled tenant 42"); err != nil {
 		log.Fatal(err)
 	}
-	ranked, err := a.RankAll(ds, abnormal, nil)
+	ranked, err := a.RankAllContext(context.Background(), ds, abnormal, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

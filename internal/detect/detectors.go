@@ -21,15 +21,6 @@ type Detector interface {
 	FindRegion(ds *metrics.Dataset) (*metrics.Region, bool)
 }
 
-// ViewDetector is an optional Detector extension: detectors that can
-// answer directly over a zero-copy window view spare the always-on
-// monitor a full window materialization on every detection tick.
-type ViewDetector interface {
-	Detector
-	// FindRegionView is FindRegion over a window view.
-	FindRegionView(w metrics.WindowView) (*metrics.Region, bool)
-}
-
 // CtxDetector is an optional Detector extension: detectors whose scan
 // is expensive enough to honor cancellation mid-flight. Callers that
 // hold a context should prefer FindRegionCtx when available.
@@ -84,38 +75,24 @@ func (t ThresholdDetector) Name() string { return fmt.Sprintf("threshold(%s)", t
 
 // FindRegion implements Detector.
 func (t ThresholdDetector) FindRegion(ds *metrics.Dataset) (*metrics.Region, bool) {
+	rows := ds.Rows()
 	col, ok := ds.Column(t.Indicator)
 	if !ok || col.Num == nil {
-		return metrics.NewRegion(ds.Rows()), false
+		return metrics.NewRegion(rows), false
 	}
-	return t.findRegion(col.Num, ds.Rows())
-}
-
-// FindRegionView implements ViewDetector: only the indicator column is
-// copied out of the window, not the whole dataset.
-func (t ThresholdDetector) FindRegionView(w metrics.WindowView) (*metrics.Region, bool) {
-	col, ok := w.Column(t.Indicator)
-	if !ok || col.Attr.Type != metrics.Numeric {
-		return metrics.NewRegion(w.Rows()), false
-	}
-	vals := col.Num.AppendTo(make([]float64, 0, col.Num.Len()))
-	return t.findRegion(vals, w.Rows())
-}
-
-func (t ThresholdDetector) findRegion(vals []float64, rows int) (*metrics.Region, bool) {
 	z := t.Z
 	if z <= 0 {
 		z = 3
 	}
-	med := stats.Median(vals)
+	med := stats.Median(col.Num)
 	// 1.4826 scales MAD to the standard deviation of a normal
 	// distribution.
-	sigma := 1.4826 * stats.MAD(vals)
+	sigma := 1.4826 * stats.MAD(col.Num)
 	if math.IsNaN(med) || math.IsNaN(sigma) || sigma == 0 {
 		return metrics.NewRegion(rows), false
 	}
 	out := metrics.NewRegion(rows)
-	for i, v := range vals {
+	for i, v := range col.Num {
 		if !math.IsNaN(v) && math.Abs(v-med) > z*sigma {
 			out.Add(i)
 		}

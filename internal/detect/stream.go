@@ -112,9 +112,9 @@ func NewStream(p Params, windowCap, workers int) *Stream {
 // Rows returns the number of rows currently in the window.
 func (s *Stream) Rows() int { return s.rows }
 
-// Append ingests a chunk of aligned statistics. The caller (the
-// monitor) has already validated schema and timestamps; Append only
-// consumes the numeric columns, in dataset order.
+// Append ingests a chunk of aligned statistics. The caller has already
+// validated schema and timestamps (Watch.Append); Append only consumes
+// the numeric columns, in dataset order.
 func (s *Stream) Append(ds *metrics.Dataset) {
 	if ds == nil || ds.Rows() == 0 {
 		return

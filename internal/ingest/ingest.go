@@ -1,18 +1,18 @@
 // Package ingest is the fleet ingestion plane: one daemon accepting
 // per-second statistics pushed by thousands of database agents and
 // running the Section 7 detection pipeline incrementally per instance.
-// It is the service-shaped generalization of internal/monitor — where a
-// Monitor watches one in-process metric stream, the Registry here keeps
-// per-instance detect.Stream state for an entire fleet behind mutex-
-// striped shards, with bounded per-instance queues that shed overload
-// instead of buffering it, a watchdog that flags and eventually evicts
-// streams that stopped reporting, and alert fan-out to SSE subscribers
-// and an optional webhook.
+// Where a Monitor (internal/monitor) watches one in-process metric
+// stream, the Registry here keeps a detect.Watch (the same alert
+// policy) and a detect.Stream per instance for an entire fleet behind
+// mutex-striped shards, with bounded per-instance queues that shed
+// overload instead of buffering it, a watchdog that flags and
+// eventually evicts streams that stopped reporting, and alert fan-out
+// to SSE subscribers and an optional webhook.
 //
 // Concurrency model: every instance owns a bounded queue of pending
 // chunks. Ingest appends to the queue under the instance lock and the
 // first goroutine to find no drainer active becomes the drainer,
-// processing the queue to empty (schema check, detect.Stream append,
+// processing the queue to empty (watch append, detect.Stream append,
 // detection tick) before handing the token back. Detection state is
 // therefore touched by exactly one goroutine at a time without a
 // dedicated goroutine per instance — the daemon's goroutine count stays
@@ -63,7 +63,8 @@ type Config struct {
 	// instance (default 30).
 	CheckEvery int
 	// WarmupRows suppresses detection until the window holds at least
-	// this many rows (default max(120, 4*CheckEvery)).
+	// this many rows (default max(120, 4*CheckEvery)), clamped to
+	// WindowRows so a short window starts detecting once full.
 	WarmupRows int
 	// MinAnomalyRows ignores findings whose largest contiguous run is
 	// shorter than this (default 10).
@@ -106,7 +107,15 @@ type Config struct {
 	Now func() time.Time
 }
 
-func (c *Config) fillDefaults() {
+// fillDefaults applies the defaults in place and returns the alert
+// policy half of the config.
+func (c *Config) fillDefaults() detect.Policy {
+	p := detect.Policy{
+		WindowRows: c.WindowRows, CheckEvery: c.CheckEvery, WarmupRows: c.WarmupRows,
+		MinAnomalyRows: c.MinAnomalyRows, CooldownSeconds: c.CooldownSeconds,
+	}.WithDefaults()
+	c.WindowRows, c.CheckEvery, c.WarmupRows, c.MinAnomalyRows, c.CooldownSeconds =
+		p.WindowRows, p.CheckEvery, p.WarmupRows, p.MinAnomalyRows, p.CooldownSeconds
 	if c.Shards <= 0 {
 		c.Shards = 64
 	}
@@ -116,24 +125,6 @@ func (c *Config) fillDefaults() {
 		n <<= 1
 	}
 	c.Shards = n
-	if c.WindowRows <= 0 {
-		c.WindowRows = 600
-	}
-	if c.CheckEvery <= 0 {
-		c.CheckEvery = 30
-	}
-	if c.WarmupRows <= 0 {
-		c.WarmupRows = 4 * c.CheckEvery
-		if c.WarmupRows < 120 {
-			c.WarmupRows = 120
-		}
-	}
-	if c.MinAnomalyRows <= 0 {
-		c.MinAnomalyRows = 10
-	}
-	if c.CooldownSeconds <= 0 {
-		c.CooldownSeconds = 120
-	}
 	if c.MaxQueuedRows <= 0 {
 		c.MaxQueuedRows = 4096
 	}
@@ -161,6 +152,7 @@ func (c *Config) fillDefaults() {
 	if c.Now == nil {
 		c.Now = time.Now
 	}
+	return p
 }
 
 // ValidInstance rejects instance names outside [A-Za-z0-9._-]{1,128} —
@@ -192,9 +184,9 @@ type shard struct {
 }
 
 // instance is one database's streaming state. Queue fields are guarded
-// by mu; detection state (attrs, stream, times, dedup) is guarded by
-// the single-flight drain token; status fields are atomics so the
-// watchdog and the listing endpoints read them lock-free.
+// by mu; detection state (watch, stream) is guarded by the single-flight
+// drain token; status fields are atomics so the watchdog and the
+// listing endpoints read them lock-free.
 type instance struct {
 	tenant, name string
 
@@ -205,15 +197,8 @@ type instance struct {
 	closed     bool
 
 	// Detection state — drainer-only.
-	attrs      []metrics.Attribute
-	stream     *detect.Stream
-	times      []int64 // timestamp ring, capacity WindowRows
-	total      int     // rows ever appended to the window
-	lastTs     int64   // last appended timestamp (monotonicity check)
-	sinceCheck int
-	alerted    bool
-	alertFrom  int64
-	alertTo    int64
+	watch  *detect.Watch
+	stream *detect.Stream
 
 	// Status — read lock-free by List/watchdog.
 	rows        atomic.Int64 // rows accepted
@@ -229,6 +214,7 @@ type instance struct {
 // Registry is the sharded fleet state. Safe for concurrent use.
 type Registry struct {
 	cfg    Config
+	policy detect.Policy
 	shards []shard
 	count  atomic.Int64 // live instances, for the MaxInstances cap
 
@@ -254,9 +240,10 @@ type Registry struct {
 // when configured). Callers own the registry's lifecycle: Close stops
 // the background goroutines and ends every alert subscription.
 func New(cfg Config) *Registry {
-	cfg.fillDefaults()
+	policy := cfg.fillDefaults()
 	r := &Registry{
 		cfg:    cfg,
+		policy: policy,
 		shards: make([]shard, cfg.Shards),
 		subs:   make(map[*Subscription]struct{}),
 		stop:   make(chan struct{}),
@@ -317,7 +304,11 @@ func (r *Registry) instanceFor(tenant, name string) (*instance, error) {
 	} else {
 		r.count.Add(1)
 	}
-	inst := &instance{tenant: tenant, name: name}
+	inst := &instance{
+		tenant: tenant, name: name,
+		watch:  detect.NewWatch(r.policy),
+		stream: detect.NewStream(r.cfg.Detect, r.cfg.WindowRows, r.cfg.Workers),
+	}
 	inst.lastSample.Store(r.cfg.Now().UnixNano())
 	sh.instances[k] = inst
 	r.m.instances.Set(float64(r.count.Load()))
@@ -415,86 +406,32 @@ func (r *Registry) drain(inst *instance) error {
 // append advances one instance's detection state by one chunk. Called
 // only by the drain-token holder.
 func (r *Registry) append(inst *instance, ds *metrics.Dataset) error {
-	if inst.attrs == nil {
-		inst.attrs = ds.Attributes()
-		inst.stream = detect.NewStream(r.cfg.Detect, r.cfg.WindowRows, r.cfg.Workers)
-		inst.times = make([]int64, r.cfg.WindowRows)
-	}
-	if err := checkSchema(inst.attrs, ds); err != nil {
-		return err
-	}
-	ts := ds.Timestamps()
-	if inst.total > 0 && ts[0] <= inst.lastTs {
-		return fmt.Errorf("ingest: chunk starts at %d, window already ends at %d", ts[0], inst.lastTs)
+	check, err := inst.watch.Append(ds)
+	if err != nil {
+		return fmt.Errorf("ingest: %w", err)
 	}
 	inst.stream.Append(ds)
-	for _, t := range ts {
-		inst.times[inst.total%len(inst.times)] = t
-		inst.total++
-	}
-	inst.lastTs = ts[len(ts)-1]
 	inst.rows.Add(int64(ds.Rows()))
-	inst.windowRows.Store(int64(inst.stream.Rows()))
+	inst.windowRows.Store(int64(inst.watch.Rows()))
 	r.rowsTotal.Add(int64(ds.Rows()))
 	r.m.rows.Add(int64(ds.Rows()))
-
-	inst.sinceCheck += ds.Rows()
-	if inst.sinceCheck >= r.cfg.CheckEvery {
-		inst.sinceCheck = 0
+	if check {
 		r.detectTick(inst)
 	}
 	return nil
 }
 
-func checkSchema(want []metrics.Attribute, ds *metrics.Dataset) error {
-	attrs := ds.Attributes()
-	if len(attrs) != len(want) {
-		return fmt.Errorf("ingest: chunk has %d attributes, stream schema has %d", len(attrs), len(want))
-	}
-	for i, a := range attrs {
-		if a != want[i] {
-			return fmt.Errorf("ingest: attribute %d is %v, stream schema has %v", i, a, want[i])
-		}
-	}
-	return nil
-}
-
 // detectTick runs one incremental detection pass and publishes an alert
-// when a sufficiently long, non-duplicate anomaly is found — the
-// monitor's alert policy (warmup, minimum run, cooldown dedup) applied
-// per instance.
+// for a finding the instance's watch accepts.
 func (r *Registry) detectTick(inst *instance) {
-	rows := inst.stream.Rows()
-	if rows < r.cfg.WarmupRows {
-		return
-	}
 	start := time.Now()
 	res := inst.stream.Detect()
 	r.m.detectSeconds.Observe(time.Since(start))
-	if res.Abnormal.Empty() {
+	from, to, ok := inst.watch.Span(res.Abnormal)
+	if !ok {
 		return
 	}
-	runLo, runHi := largestRun(res.Abnormal)
-	if runHi-runLo < r.cfg.MinAnomalyRows {
-		return
-	}
-	lo := inst.total - rows
-	from := inst.timeAt(lo + runLo)
-	to := inst.timeAt(lo+runHi-1) + 1
-
-	if inst.alerted && from <= inst.alertTo+int64(r.cfg.CooldownSeconds) && to >= inst.alertFrom {
-		// Same dedup rule as the monitor: extend the remembered span so a
-		// long anomaly keeps being suppressed.
-		if to > inst.alertTo {
-			inst.alertTo = to
-		}
-		if from < inst.alertFrom {
-			inst.alertFrom = from
-		}
-		return
-	}
-	inst.alerted = true
-	inst.alertFrom, inst.alertTo = from, to
+	inst.watch.Commit(from, to)
 	inst.alerts.Add(1)
 	inst.lastAlert.Store(r.cfg.Now().Unix())
 	r.alertsTotal.Add(1)
@@ -505,23 +442,9 @@ func (r *Registry) detectTick(inst *instance) {
 		FromTime:      from,
 		ToTime:        to,
 		SelectedAttrs: append([]string(nil), res.SelectedAttrs...),
-		WindowRows:    rows,
+		WindowRows:    inst.watch.Rows(),
 		At:            r.cfg.Now().Unix(),
 	})
-}
-
-// timeAt maps an absolute window row to its timestamp.
-func (inst *instance) timeAt(abs int) int64 { return inst.times[abs%len(inst.times)] }
-
-// largestRun mirrors the monitor's: the longest run of consecutively
-// selected rows, half-open.
-func largestRun(region *metrics.Region) (lo, hi int) {
-	region.Runs(func(l, h int) {
-		if h-l > hi-lo {
-			lo, hi = l, h
-		}
-	})
-	return lo, hi
 }
 
 // watchdog periodically sweeps for stale and dead instances.

@@ -376,6 +376,34 @@ func TestIngestAlertsOnInjectedAnomaly(t *testing.T) {
 	}
 }
 
+// TestIngestShortWindowAlerts is the short-window blind spot: the
+// default warmup (120 rows) exceeds a 100-row window, so before the
+// warmup was clamped to the window such an instance accepted data and
+// never ran detection.
+func TestIngestShortWindowAlerts(t *testing.T) {
+	trace := simTrace(t, 600, []anomaly.Injection{
+		{Kind: anomaly.IOSaturation, Start: 400, Duration: 40},
+	}, 1)
+	r := New(Config{WindowRows: 100})
+	defer r.Close()
+	sub := r.Subscribe("acme")
+	defer sub.Cancel()
+	for _, chunk := range chunked(t, trace, 30) {
+		if err := r.Ingest("acme", "db-1", chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case a := <-sub.C:
+		// The anomaly runs over unix seconds [1400, 1440).
+		if a.ToTime <= 1400 || a.FromTime >= 1440 || a.WindowRows != 100 {
+			t.Fatalf("alert %+v misses the anomaly [1400, 1440) in a 100-row window", a)
+		}
+	default:
+		t.Fatal("no alert from a 100-row window over a 40-second I/O saturation")
+	}
+}
+
 func TestSubscribeTenantScoping(t *testing.T) {
 	r := New(Config{})
 	defer r.Close()

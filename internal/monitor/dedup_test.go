@@ -12,8 +12,8 @@ import (
 
 // spanDetector is a scripted detector: call i flags the window rows
 // whose timestamps fall in spans[i] (a half-open unix-seconds range;
-// the zero span means "no finding"). Pointer receiver, so it takes the
-// monitor's snapshot path, not the view or streaming fast paths.
+// the zero span means "no finding"). Like every custom detector it
+// runs on the monitor's window snapshot.
 type spanDetector struct {
 	spans [][2]int64
 	call  int
@@ -132,8 +132,8 @@ func TestDedupLongAnomalyExtension(t *testing.T) {
 	spans[7] = [2]int64{70, 76}
 	m, alerts := runSpans(t, 80, spans)
 	requireSpans(t, alerts, [][2]int64{{2, 10}})
-	if m.lastAlertFrom != 2 || m.lastAlertTo != 76 {
-		t.Fatalf("remembered span [%d,%d], want [2,76]", m.lastAlertFrom, m.lastAlertTo)
+	if from, to, _ := m.watch.LastAlert(); from != 2 || to != 76 {
+		t.Fatalf("remembered span [%d,%d], want [2,76]", from, to)
 	}
 }
 
@@ -168,10 +168,10 @@ func TestLargestRunFirstOnTie(t *testing.T) {
 	}
 }
 
-// TestSnapshotErrorCounted corrupts the window's time ring in-package
-// so materialization fails, and checks the detection pass is skipped,
-// the dbsherlock_monitor_snapshot_errors_total counter moves, and the
-// failure is logged.
+// TestSnapshotErrorCounted corrupts one of the window's column rings
+// in-package so materialization fails, and checks the detection pass
+// is skipped, the dbsherlock_monitor_snapshot_errors_total counter
+// moves, and the failure is logged.
 func TestSnapshotErrorCounted(t *testing.T) {
 	var logBuf bytes.Buffer
 	reg := obs.NewRegistry()
@@ -191,7 +191,7 @@ func TestSnapshotErrorCounted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.time.buf[m.time.head] = 1 << 40 // timestamps no longer increasing
+	m.cols[0].num.n-- // one value short of the window's timestamps
 	m.runDetection()
 	if len(alerts) != 0 {
 		t.Fatalf("corrupted window still alerted: %+v", alerts)

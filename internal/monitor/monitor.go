@@ -1,16 +1,19 @@
 // Package monitor runs DBSherlock's anomaly detection continuously over
-// a stream of per-second statistics — the always-on counterpart of the
-// interactive workflow, mirroring how DBSeer watches a production
-// system. Rows are appended as they are collected; a sliding window is
-// kept in fixed-capacity ring buffers; every checkEvery appended rows
-// the detector runs and overlapping findings are deduplicated into
-// alerts.
+// one in-process stream of per-second statistics — the always-on
+// counterpart of the interactive workflow, mirroring how DBSeer watches
+// a production system. The alert policy (schema and timeline checks,
+// check cadence, warmup, min-run floor, cooldown dedup) is detect.Watch,
+// shared with the fleet ingestion plane in internal/ingest. A Monitor
+// adds what is its own: the window's column rings, so an alert carries
+// a snapshot of the window; the dispatch to a custom Detector; and the
+// dbsherlock_monitor_* instruments.
 //
 // With the default DBSCAN detector, detection runs through
 // detect.Stream: per-attribute state advances incrementally with the
 // window and no dataset is materialized until an alert actually fires.
-// The emitted alerts are byte-identical to running the batch detector
-// on a deep window snapshot every tick (pinned by golden tests).
+// Custom detectors run on a window snapshot every pass. The emitted
+// alerts are byte-identical to running the batch detector on a deep
+// window snapshot every tick (pinned by golden tests).
 package monitor
 
 import (
@@ -59,7 +62,8 @@ type Config struct {
 	MinAnomalyRows int
 	// WarmupRows suppresses detection until the window holds at least
 	// this many rows (default max(120, 4*CheckEvery)): tiny windows
-	// mistake startup transients for anomalies.
+	// mistake startup transients for anomalies. It is clamped to
+	// WindowSeconds, so a short window starts detecting once full.
 	WarmupRows int
 	// Registry, when non-nil, receives the monitor's counters
 	// (dbsherlock_monitor_rows_ingested_total, _detections_run_total,
@@ -77,28 +81,19 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-func (c *Config) fillDefaults() {
-	if c.WindowSeconds <= 0 {
-		c.WindowSeconds = 600
-	}
-	if c.CheckEvery <= 0 {
-		c.CheckEvery = 30
-	}
-	if c.CooldownSeconds <= 0 {
-		c.CooldownSeconds = 120
-	}
+// fillDefaults applies the defaults in place and returns the alert
+// policy half of the config.
+func (c *Config) fillDefaults() detect.Policy {
+	p := detect.Policy{
+		WindowRows: c.WindowSeconds, CheckEvery: c.CheckEvery, WarmupRows: c.WarmupRows,
+		MinAnomalyRows: c.MinAnomalyRows, CooldownSeconds: c.CooldownSeconds,
+	}.WithDefaults()
+	c.WindowSeconds, c.CheckEvery, c.WarmupRows, c.MinAnomalyRows, c.CooldownSeconds =
+		p.WindowRows, p.CheckEvery, p.WarmupRows, p.MinAnomalyRows, p.CooldownSeconds
 	if c.Detector == nil {
 		c.Detector = detect.NewDBSCANDetector()
 	}
-	if c.MinAnomalyRows <= 0 {
-		c.MinAnomalyRows = 10
-	}
-	if c.WarmupRows <= 0 {
-		c.WarmupRows = 4 * c.CheckEvery
-		if c.WarmupRows < 120 {
-			c.WarmupRows = 120
-		}
-	}
+	return p
 }
 
 // Monitor ingests rows and emits alerts through a callback. It is not
@@ -108,20 +103,11 @@ type Monitor struct {
 	onAlert func(Alert)
 	logger  *slog.Logger
 
-	attrs    []metrics.Attribute
-	time     ring[int64]
-	numCols  []ring[float64]
-	catCols  []ring[string]
-	viewCols []metrics.ColumnView // reused scratch for window views
-
+	watch *detect.Watch
 	// stream is the incremental fast path, non-nil when Detector is the
 	// Section 7 DBSCAN detector.
 	stream *detect.Stream
-
-	sinceCheck    int
-	lastAlertFrom int64
-	lastAlertTo   int64
-	alerted       bool
+	cols   []column // the window's values, fixed by the first chunk
 
 	// Optional observability instruments (nil when Config.Registry is
 	// nil; the obs types are nil-safe no-ops in that case).
@@ -135,13 +121,24 @@ type Monitor struct {
 	lastEpsilon      *obs.Gauge
 }
 
+// column is one attribute's window ring; only the ring matching
+// attr.Type is allocated.
+type column struct {
+	attr metrics.Attribute
+	num  ring[float64]
+	cat  ring[string]
+}
+
 // New builds a monitor; onAlert fires synchronously from Append.
 func New(cfg Config, onAlert func(Alert)) (*Monitor, error) {
 	if onAlert == nil {
 		return nil, errors.New("monitor: onAlert must be non-nil")
 	}
-	cfg.fillDefaults()
-	m := &Monitor{cfg: cfg, onAlert: onAlert, logger: cfg.Logger}
+	policy := cfg.fillDefaults()
+	m := &Monitor{cfg: cfg, onAlert: onAlert, logger: cfg.Logger, watch: detect.NewWatch(policy)}
+	if dd, isDBSCAN := cfg.Detector.(detect.DBSCANDetector); isDBSCAN {
+		m.stream = detect.NewStream(dd.Params, cfg.WindowSeconds, cfg.Workers)
+	}
 	if m.logger == nil {
 		m.logger = obs.DiscardLogger()
 	}
@@ -182,7 +179,7 @@ func (m *Monitor) Stats() (rowsIngested, detectionsRun, alertsRaised int64) {
 }
 
 // WindowSize returns the number of rows currently buffered.
-func (m *Monitor) WindowSize() int { return m.time.len() }
+func (m *Monitor) WindowSize() int { return m.watch.Rows() }
 
 // Append ingests a chunk of aligned statistics (e.g. one collector
 // flush). The first chunk fixes the schema; later chunks must match it
@@ -191,178 +188,106 @@ func (m *Monitor) Append(ds *metrics.Dataset) error {
 	if ds == nil || ds.Rows() == 0 {
 		return nil
 	}
-	if m.attrs == nil {
-		m.initSchema(ds)
+	check, err := m.watch.Append(ds)
+	if err != nil {
+		return fmt.Errorf("monitor: %w", err)
 	}
-	if err := m.checkSchema(ds); err != nil {
-		return err
-	}
-	ts := ds.Timestamps()
-	if m.time.len() > 0 && ts[0] <= m.time.last() {
-		return fmt.Errorf("monitor: chunk starts at %d, window already ends at %d",
-			ts[0], m.time.last())
-	}
-
-	ni, ci := 0, 0
-	for a := 0; a < ds.NumAttrs(); a++ {
-		col := ds.ColumnAt(a)
-		if col.Attr.Type == metrics.Numeric {
-			for _, v := range col.Num {
-				m.numCols[ni].push(v)
+	if m.cols == nil {
+		for _, a := range ds.Attributes() {
+			c := column{attr: a}
+			if a.Type == metrics.Numeric {
+				c.num = newRing[float64](m.cfg.WindowSeconds)
+			} else {
+				c.cat = newRing[string](m.cfg.WindowSeconds)
 			}
-			ni++
-		} else {
-			for _, v := range col.Cat {
-				m.catCols[ci].push(v)
-			}
-			ci++
+			m.cols = append(m.cols, c)
 		}
 	}
-	for _, t := range ts {
-		m.time.push(t)
+	for i := range m.cols {
+		col := ds.ColumnAt(i)
+		for _, v := range col.Num {
+			m.cols[i].num.push(v)
+		}
+		for _, v := range col.Cat {
+			m.cols[i].cat.push(v)
+		}
 	}
-	m.sinceCheck += ds.Rows()
 	m.rowsIngested.Add(int64(ds.Rows()))
 	if m.stream != nil {
 		m.stream.Append(ds)
 	}
-
-	if m.sinceCheck >= m.cfg.CheckEvery {
-		m.sinceCheck = 0
+	if check {
 		m.runDetection()
 	}
 	return nil
 }
 
-func (m *Monitor) initSchema(ds *metrics.Dataset) {
-	m.attrs = ds.Attributes()
-	m.time = newRing[int64](m.cfg.WindowSeconds)
-	for _, a := range m.attrs {
-		if a.Type == metrics.Numeric {
-			m.numCols = append(m.numCols, newRing[float64](m.cfg.WindowSeconds))
-		} else {
-			m.catCols = append(m.catCols, newRing[string](m.cfg.WindowSeconds))
-		}
-	}
-	if dd, isDBSCAN := m.cfg.Detector.(detect.DBSCANDetector); isDBSCAN {
-		m.stream = detect.NewStream(dd.Params, m.cfg.WindowSeconds, m.cfg.Workers)
-	}
-}
-
-func (m *Monitor) checkSchema(ds *metrics.Dataset) error {
-	attrs := ds.Attributes()
-	if len(attrs) != len(m.attrs) {
-		return fmt.Errorf("monitor: chunk has %d attributes, window schema has %d", len(attrs), len(m.attrs))
-	}
-	for i, a := range attrs {
-		if a != m.attrs[i] {
-			return fmt.Errorf("monitor: attribute %d is %v, window schema has %v", i, a, m.attrs[i])
-		}
-	}
-	return nil
-}
-
-// view exposes the window zero-copy as ring segments. Valid only until
-// the next Append.
-func (m *Monitor) view() metrics.WindowView {
-	m.viewCols = m.viewCols[:0]
-	ni, ci := 0, 0
-	for _, a := range m.attrs {
-		cv := metrics.ColumnView{Attr: a}
-		if a.Type == metrics.Numeric {
-			x, y := m.numCols[ni].segs()
-			cv.Num = metrics.NewView(x, y)
-			ni++
-		} else {
-			x, y := m.catCols[ci].segs()
-			cv.Cat = metrics.NewView(x, y)
-			ci++
-		}
-		m.viewCols = append(m.viewCols, cv)
-	}
-	ta, tb := m.time.segs()
-	return metrics.WindowView{Time: metrics.NewView(ta, tb), Cols: m.viewCols}
-}
-
-// snapshot materializes the window as a Dataset — alert path and
-// non-view custom detectors only, never the streaming tick.
+// snapshot copies the window into a standalone Dataset — alert path
+// and custom detectors only, never the streaming tick.
 func (m *Monitor) snapshot() (*metrics.Dataset, error) {
-	return m.view().Materialize()
+	ds, err := metrics.NewDataset(m.watch.Times())
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range m.cols {
+		if c.attr.Type == metrics.Numeric {
+			err = ds.AddNumeric(c.attr.Name, c.num.values())
+		} else {
+			err = ds.AddCategorical(c.attr.Name, c.cat.values())
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return ds, nil
 }
 
+// runDetection runs one detection pass over the window and raises an
+// alert for a finding the watch accepts.
 func (m *Monitor) runDetection() {
-	if m.time.len() < m.cfg.WarmupRows {
-		return
-	}
 	m.detectionsRun.Inc()
 	start := time.Now()
 	defer func() { m.detectionSeconds.Observe(time.Since(start)) }()
 
 	var window *metrics.Dataset // materialized lazily, on the alert path
 	var region *metrics.Region
-	var ok bool
 	var selected []string
 	if m.stream != nil {
 		// Incremental Section 7 pipeline: no window copy, and the alert
 		// can carry the selected attributes without a second pass.
 		res := m.stream.Detect()
-		region, ok, selected = res.Abnormal, !res.Abnormal.Empty(), res.SelectedAttrs
+		region, selected = res.Abnormal, res.SelectedAttrs
 		m.attrsSelected.Add(int64(len(selected)))
 		if res.Epsilon > 0 {
-			m.pointsClustered.Add(int64(m.time.len()))
+			m.pointsClustered.Add(int64(m.watch.Rows()))
 			m.lastEpsilon.Set(res.Epsilon)
 		}
-	} else if vd, isView := m.cfg.Detector.(detect.ViewDetector); isView {
-		region, ok = vd.FindRegionView(m.view())
 	} else {
 		var err error
-		window, err = m.snapshot()
-		if err != nil {
+		if window, err = m.snapshot(); err != nil {
 			m.snapshotErrors.Inc()
 			m.logger.Warn("monitor: window snapshot failed, skipping detection pass", "err", err)
 			return
 		}
-		region, ok = m.cfg.Detector.FindRegion(window)
+		var ok bool
+		if region, ok = m.cfg.Detector.FindRegion(window); !ok {
+			return
+		}
 	}
+	from, to, ok := m.watch.Span(region)
 	if !ok {
 		return
 	}
-	runLo, runHi := largestRun(region)
-	if runHi-runLo < m.cfg.MinAnomalyRows {
-		return
-	}
-	from := m.time.at(runLo)
-	to := m.time.at(runHi-1) + 1
-
-	// Deduplicate: skip alerts whose span overlaps the previous alert's
-	// full remembered span [lastAlertFrom, lastAlertTo] within the
-	// cooldown horizon.
-	if m.alerted && from <= m.lastAlertTo+int64(m.cfg.CooldownSeconds) && to >= m.lastAlertFrom {
-		// Extend the remembered span so a long anomaly keeps being
-		// suppressed rather than re-alerting every check.
-		if to > m.lastAlertTo {
-			m.lastAlertTo = to
-		}
-		if from < m.lastAlertFrom {
-			m.lastAlertFrom = from
-		}
-		return
-	}
-
 	if window == nil {
 		var err error
-		window, err = m.snapshot()
-		if err != nil {
-			// Dedup state deliberately not committed: the next pass can
-			// retry the alert.
+		if window, err = m.snapshot(); err != nil {
+			// The alert is not committed: the next pass can retry it.
 			m.snapshotErrors.Inc()
 			m.logger.Warn("monitor: window snapshot failed, dropping alert", "err", err)
 			return
 		}
 	}
-	m.alerted = true
-	m.lastAlertFrom, m.lastAlertTo = from, to
-
+	m.watch.Commit(from, to)
 	m.alertsRaised.Inc()
 	// The streaming detector reuses its region and attribute scratch
 	// across ticks; clone what escapes into the alert.
@@ -371,17 +296,4 @@ func (m *Monitor) runDetection() {
 		FromTime: from, ToTime: to,
 		SelectedAttrs: append([]string(nil), selected...),
 	})
-}
-
-// largestRun returns the half-open index bounds of the longest run of
-// consecutively selected rows (the first such run on ties), without
-// materializing the region's indices. The monitor runs this every
-// detection tick, so it stays allocation-free.
-func largestRun(region *metrics.Region) (lo, hi int) {
-	region.Runs(func(l, h int) {
-		if h-l > hi-lo {
-			lo, hi = l, h
-		}
-	})
-	return lo, hi
 }

@@ -20,12 +20,6 @@ func newRing[T any](capacity int) ring[T] {
 
 func (r *ring[T]) len() int { return r.n }
 
-// at returns the i-th oldest value, 0 <= i < len.
-func (r *ring[T]) at(i int) T { return r.buf[(r.head+i)%len(r.buf)] }
-
-// last returns the newest value; the ring must be non-empty.
-func (r *ring[T]) last() T { return r.at(r.n - 1) }
-
 // push appends v, evicting the oldest value when full.
 func (r *ring[T]) push(v T) {
 	if r.n < len(r.buf) {
@@ -37,20 +31,8 @@ func (r *ring[T]) push(v T) {
 	r.head = (r.head + 1) % len(r.buf)
 }
 
-// popFront drops the k oldest values (clamped to the current length).
-func (r *ring[T]) popFront(k int) {
-	if k > r.n {
-		k = r.n
-	}
-	if k <= 0 {
-		return
-	}
-	r.head = (r.head + k) % len(r.buf)
-	r.n -= k
-}
-
 // segs returns the buffered values, oldest first, as at most two
-// contiguous slices of the backing array — the zero-copy window view.
+// contiguous slices of the backing array.
 func (r *ring[T]) segs() (a, b []T) {
 	if r.n == 0 {
 		return nil, nil
@@ -60,4 +42,10 @@ func (r *ring[T]) segs() (a, b []T) {
 		return r.buf[r.head:end], nil
 	}
 	return r.buf[r.head:], r.buf[:end-len(r.buf)]
+}
+
+// values copies the buffered values out, oldest first.
+func (r *ring[T]) values() []T {
+	a, b := r.segs()
+	return append(append(make([]T, 0, r.len()), a...), b...)
 }

@@ -5,14 +5,6 @@ import (
 	"testing"
 )
 
-func ringContents(r *ring[int]) []int {
-	out := make([]int, 0, r.len())
-	a, b := r.segs()
-	out = append(out, a...)
-	out = append(out, b...)
-	return out
-}
-
 func TestRingPushEvictsOldest(t *testing.T) {
 	r := newRing[int](3)
 	if r.len() != 0 {
@@ -21,11 +13,8 @@ func TestRingPushEvictsOldest(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		r.push(i)
 	}
-	if got := ringContents(&r); !reflect.DeepEqual(got, []int{3, 4, 5}) {
+	if got := r.values(); !reflect.DeepEqual(got, []int{3, 4, 5}) {
 		t.Fatalf("contents %v, want [3 4 5]", got)
-	}
-	if r.at(0) != 3 || r.at(2) != 5 || r.last() != 5 {
-		t.Fatalf("at/last: %d %d %d", r.at(0), r.at(2), r.last())
 	}
 }
 
@@ -38,7 +27,7 @@ func TestRingSegsWraparound(t *testing.T) {
 	if len(a) == 0 || len(b) == 0 {
 		t.Fatalf("expected two segments after wraparound, got %v / %v", a, b)
 	}
-	if got := ringContents(&r); !reflect.DeepEqual(got, []int{2, 3, 4, 5}) {
+	if got := r.values(); !reflect.DeepEqual(got, []int{2, 3, 4, 5}) {
 		t.Fatalf("contents %v, want [2 3 4 5]", got)
 	}
 }
@@ -58,35 +47,11 @@ func TestRingSegsContiguous(t *testing.T) {
 	}
 }
 
-func TestRingPopFront(t *testing.T) {
-	r := newRing[int](5)
-	for i := 0; i < 8; i++ { // wrapped: contents 3..7
-		r.push(i)
-	}
-	r.popFront(2)
-	if got := ringContents(&r); !reflect.DeepEqual(got, []int{5, 6, 7}) {
-		t.Fatalf("after popFront(2): %v, want [5 6 7]", got)
-	}
-	r.popFront(0)  // no-op
-	r.popFront(-1) // no-op
-	if r.len() != 3 {
-		t.Fatalf("len %d after no-op pops", r.len())
-	}
-	r.popFront(99) // clamped
-	if r.len() != 0 {
-		t.Fatalf("len %d after clamped pop", r.len())
-	}
-	r.push(42)
-	if r.last() != 42 || r.len() != 1 {
-		t.Fatal("ring unusable after full drain")
-	}
-}
-
 func TestRingCapacityFloor(t *testing.T) {
 	r := newRing[int](0)
 	r.push(1)
 	r.push(2)
-	if r.len() != 1 || r.last() != 2 {
-		t.Fatalf("zero-capacity ring floored to 1: len=%d last=%d", r.len(), r.last())
+	if got := r.values(); !reflect.DeepEqual(got, []int{2}) {
+		t.Fatalf("zero-capacity ring floored to 1: contents %v, want [2]", got)
 	}
 }

