@@ -7,7 +7,7 @@
 GO ?= go
 SOAK ?= 2s
 
-.PHONY: ci fmt-check vet perfbench-vet lint build test race alloc-gate hygiene cache-gate soak bench-smoke fuzz-smoke bench-parallel bench-obs bench-alloc bench-detect bench-lifecycle bench-store bench-serve bench-cold bench-ingest
+.PHONY: ci fmt-check vet perfbench-vet lint build test race alloc-gate hygiene cache-gate soak bench-smoke fuzz-smoke bench-parallel bench-obs bench-alloc bench-detect bench-lifecycle bench-store bench-serve bench-ingest
 
 ci: fmt-check vet perfbench-vet lint build race alloc-gate hygiene cache-gate soak bench-smoke
 
@@ -118,9 +118,11 @@ bench-obs:
 	$(GO) test -bench 'BenchmarkDurableAppend(Observed)?/dataset_60rows' -benchtime=100x -count=5 -benchmem -run='^$$' ./internal/store/
 	$(GO) test -bench 'BenchmarkLearnEndpointDurable(Observed)?$$' -benchtime=100x -count=5 -benchmem -run='^$$' ./internal/server/
 
-# Regenerate the numbers behind BENCH_alloc.json (full Explain pipeline
-# allocs/op and ns/op on both scales, plus the sliding-window-median
-# comparison; commit the medians across the 5 repetitions).
+# Regenerate the numbers behind BENCH_alloc.json and BENCH_cold.json
+# (full Explain pipeline allocs/op and ns/op on both scales — the cold
+# path, with only the prepared per-column index warm, as it is after any
+# upload — plus the sliding-window-median comparison; commit the medians
+# across the 5 repetitions).
 bench-alloc:
 	$(GO) test -bench BenchmarkExplainAllocs -benchtime=150x -count=5 -benchmem -run='^$$' .
 	$(GO) test -bench BenchmarkSlidingWindowMedians -benchtime=100x -count=5 -benchmem -run='^$$' ./internal/stats/
@@ -152,14 +154,6 @@ bench-lifecycle:
 bench-store:
 	$(GO) test -bench 'BenchmarkDurableAppend|BenchmarkMemoryPut|BenchmarkDurableReplay' -benchtime=100x -count=5 -benchmem -run='^$$' ./internal/store/
 	$(GO) test -bench 'BenchmarkLearnEndpoint' -benchtime=100x -count=5 -benchmem -run='^$$' ./internal/server/
-
-# Regenerate the numbers behind BENCH_cold.json: the cold diagnosis
-# path (fresh evaluator per call, no diagnosis cache — only the
-# prepared per-column index is warm, as it is after any upload). This
-# is the latency the first diagnosis of an incident pays; commit the
-# medians across the 5 repetitions.
-bench-cold:
-	$(GO) test -bench BenchmarkExplainAllocs -benchtime=150x -count=5 -benchmem -run='^$$' .
 
 # Regenerate the numbers behind BENCH_serve.json: end-to-end /v1/explain
 # throughput and latency percentiles with the diagnosis cache off vs

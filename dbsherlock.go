@@ -176,17 +176,16 @@ func WithDomainKnowledge(rules []Rule) Option {
 // Params returns the analyzer's current predicate-generation parameters.
 func (a *Analyzer) Params() Params { return a.params }
 
-// Prewarm builds and caches the prepared per-column index for ds under
-// this analyzer's partition count, so the first Diagnose against
-// the dataset skips the min/max/bucketing pass and starts from the
-// counting kernels. It is cheap to call redundantly: a dataset whose
-// columns have not changed since the last Prewarm is a cache hit and no
-// work is done. Safe for concurrent use.
+// Prewarm builds the prepared per-column index for ds under this
+// analyzer's partition count, so the first Diagnose against the dataset
+// skips the min/max/bucketing pass and starts from the counting kernels.
+// The index lives on the dataset and is freed with it; every analyzer
+// with the same partition count shares it, and a dataset mutation drops
+// it. It is cheap to call redundantly: a dataset whose columns have not
+// changed since the last Prewarm already holds its index and no work is
+// done. Safe for concurrent use.
 func (a *Analyzer) Prewarm(ds *Dataset) {
-	if ds == nil {
-		return
-	}
-	core.Prewarm(ds, a.params.NumPartitions)
+	core.PreparedFor(ds, a.params.NumPartitions)
 }
 
 // Explanation is the output of a diagnosis: the generated predicates
@@ -253,11 +252,11 @@ type DiagnoseRequest struct {
 	Timeout time.Duration
 	// Reuse, when non-nil, offers a DiagnosisState captured by an
 	// earlier Diagnose of the same context. If it matches this request
-	// (same dataset instance, regions, parameters, and domain
-	// knowledge) the engine skips predicate generation and scoring and
-	// only re-ranks causal models against the retained partition
-	// spaces; on any mismatch it silently runs cold. Output is
-	// identical either way.
+	// (same dataset instance and generation, regions, parameters, and
+	// domain knowledge) the engine skips predicate generation and
+	// scoring and only re-ranks causal models against the retained
+	// partition spaces; on any mismatch it silently runs cold. Output
+	// is identical either way.
 	Reuse *DiagnosisState
 	// CaptureState asks the engine to return a reusable DiagnosisState
 	// in DiagnoseResult.State (it is also returned whenever Reuse was
@@ -311,23 +310,46 @@ func (a *Analyzer) Diagnose(ctx context.Context, req DiagnoseRequest) (*Diagnose
 	if req.Trace || a.tracing {
 		tr = obs.NewTrace(core.ResolveWorkers(a.params.Workers))
 	}
-	if st := req.Reuse; st != nil {
-		abnormal, normal, err := resolveRegions(req.Dataset, req.Abnormal, req.Normal)
-		if err == nil && st.matches(a, req.Dataset, abnormal, normal) {
-			return a.diagnoseReused(ctx, st, tr)
+	var expl *Explanation
+	var ev *core.Evaluator
+	state := req.Reuse
+	if state.accepts(a, req) {
+		// Copy the captured predicates out, so callers can never corrupt
+		// the shared state.
+		expl = &Explanation{
+			Predicates: cloneSlice(state.preds),
+			Ranked:     cloneSlice(state.ranked),
+			Pruned:     cloneSlice(state.pruned),
 		}
-		// Mismatched or unresolvable state: fall through to the cold
-		// path (which reports the resolve error properly).
+		ev = state.ev
+	} else {
+		// No state, or a mismatched or unresolvable one: run cold (which
+		// reports a resolve error properly).
+		var err error
+		if expl, ev, err = a.explainCtx(ctx, req.Dataset, req.Abnormal, req.Normal, tr); err != nil {
+			return nil, err
+		}
+		state = nil
+		if req.CaptureState || req.Reuse != nil {
+			state = &DiagnosisState{
+				ev:        ev,
+				gen:       req.Dataset.Generation(),
+				knowledge: a.knowledge,
+				preds:     cloneSlice(expl.Predicates),
+				ranked:    cloneSlice(expl.Ranked),
+				pruned:    cloneSlice(expl.Pruned),
+			}
+		}
 	}
-	expl, ranked, state, err := a.explainCtx(ctx, req.Dataset, req.Abnormal, req.Normal, tr, req.CaptureState || req.Reuse != nil)
-	if err != nil {
-		return nil, err
-	}
-	if ranked == nil {
-		// Empty model repository: explainCtx skipped ranking.
-		// RankAllContext returns an empty, non-nil slice in that case;
-		// match it exactly.
-		ranked = []RankedCause{}
+	// Models are never part of the state: they are read from the live
+	// repository, so learns and imports between requests always rank.
+	ranked := []RankedCause{}
+	if repo := a.repository(); repo.Len() > 0 {
+		var err error
+		if ranked, err = repo.RankEvalCtx(ctx, ev, tr); err != nil {
+			return nil, err
+		}
+		expl.Causes = causal.FilterByLambda(ranked, a.lambda)
 	}
 	res := &DiagnoseResult{Explanation: expl, AllCauses: ranked, State: state}
 	if tr != nil {
@@ -337,56 +359,24 @@ func (a *Analyzer) Diagnose(ctx context.Context, req DiagnoseRequest) (*Diagnose
 	return res, nil
 }
 
-// diagnoseReused is the cache-hit fast path: the captured predicates
-// are copied out (so callers can never corrupt the shared state) and
-// only causal-model ranking runs, against the state's retained
-// partition spaces. Models are re-read from the live repository, so
-// learns and imports between requests are always reflected.
-func (a *Analyzer) diagnoseReused(ctx context.Context, st *DiagnosisState, tr *obs.Trace) (*DiagnoseResult, error) {
-	expl := &Explanation{
-		Predicates: cloneSlice(st.preds),
-		Ranked:     cloneSlice(st.ranked),
-		Pruned:     cloneSlice(st.pruned),
-	}
-	ranked := []RankedCause{}
-	if repo := a.repository(); repo.Len() > 0 {
-		out, err := repo.RankEvalTracedCtx(ctx, st.ev, tr)
-		if err != nil {
-			return nil, err
-		}
-		ranked = out
-		expl.Causes = causal.FilterByLambda(ranked, a.lambda)
-	}
-	res := &DiagnoseResult{Explanation: expl, AllCauses: ranked, State: st}
-	if tr != nil {
-		expl.Trace = tr.Snapshot()
-		res.Trace = expl.Trace
-	}
-	return res, nil
-}
-
-// explainCtx is the diagnosis engine behind Diagnose. It returns the
-// explanation plus, when the model repository is non-empty, the full
-// confidence ranking the lambda filter was derived from (nil
-// otherwise), so Diagnose gets RankAllContext's output without ranking
-// twice. With capture set it additionally snapshots the evaluator and
-// predicate slices into a reusable DiagnosisState (the evaluator is
-// then built trace-free, since it outlives this request's trace;
-// ranking output is unaffected). ctx errors are returned
-// unwrapped so callers can match them with errors.Is.
-func (a *Analyzer) explainCtx(ctx context.Context, ds *Dataset, abnormal, normal *Region, tr *obs.Trace, capture bool) (*Explanation, []RankedCause, *DiagnosisState, error) {
+// explainCtx is the cold half of Diagnose: Algorithm 1, domain-knowledge
+// pruning and separation-power scoring. It returns the explanation
+// without causes and the trace-free evaluator the causal models are
+// ranked against. ctx errors are returned unwrapped so callers can match
+// them with errors.Is.
+func (a *Analyzer) explainCtx(ctx context.Context, ds *Dataset, abnormal, normal *Region, tr *obs.Trace) (*Explanation, *core.Evaluator, error) {
 	abnormal, normal, err := resolveRegions(ds, abnormal, normal)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	params := a.params
 	params.Trace = tr
 	preds, err := core.GenerateCtx(ctx, ds, abnormal, normal, params)
 	if err != nil {
 		if ctx.Err() != nil {
-			return nil, nil, nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		}
-		return nil, nil, nil, fmt.Errorf("dbsherlock: %w", err)
+		return nil, nil, fmt.Errorf("dbsherlock: %w", err)
 	}
 	expl := &Explanation{Predicates: preds}
 	if a.knowledge != nil {
@@ -409,7 +399,7 @@ func (a *Analyzer) explainCtx(ctx context.Context, ds *Dataset, abnormal, normal
 			SeparationPower: core.SeparationPowerRuns(p, ds, aRuns, nRuns, cntA, cntN),
 		}
 	}); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	// Stable descending sort, identical ordering to the former
 	// sort.SliceStable but without the reflect-based swapper.
@@ -424,34 +414,7 @@ func (a *Analyzer) explainCtx(ctx context.Context, ds *Dataset, abnormal, normal
 		}
 	})
 	tr.EndStage(obs.StageScore, start)
-	var ranked []RankedCause
-	var state *DiagnosisState
-	if capture {
-		evalParams := a.params
-		evalParams.Trace = nil
-		ev := core.NewEvaluator(ds, abnormal, normal, evalParams)
-		if repo := a.repository(); repo.Len() > 0 {
-			ranked, err = repo.RankEvalTracedCtx(ctx, ev, tr)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			expl.Causes = causal.FilterByLambda(ranked, a.lambda)
-		}
-		state = &DiagnosisState{
-			ev:        ev,
-			knowledge: a.knowledge,
-			preds:     cloneSlice(expl.Predicates),
-			ranked:    cloneSlice(expl.Ranked),
-			pruned:    cloneSlice(expl.Pruned),
-		}
-	} else if repo := a.repository(); repo.Len() > 0 {
-		ranked, err = repo.RankCtx(ctx, ds, abnormal, normal, params)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		expl.Causes = causal.FilterByLambda(ranked, a.lambda)
-	}
-	return expl, ranked, state, nil
+	return expl, core.NewEvaluator(ds, abnormal, normal, a.params), nil
 }
 
 // LearnCause incorporates user feedback: it generates predicates for

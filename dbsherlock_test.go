@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dbsherlock"
+	"dbsherlock/internal/core"
 )
 
 // simulateAnomaly produces a 3-minute trace with one anomaly in the
@@ -216,5 +217,70 @@ func TestExplainRanksPredicatesBySeparationPower(t *testing.T) {
 	}
 	if top := expl.Ranked[0].SeparationPower; top < 0.8 {
 		t.Errorf("top predicate separation power = %v, want high", top)
+	}
+}
+
+// TestPreparedIndexOwnedByDataset pins the prepared index's one owner,
+// the dataset: the index Prewarm builds is the one every diagnosis of the
+// dataset uses — through the analyzer that prewarmed, through a
+// WithModelBank view (how the server serves every other tenant), and
+// through an unrelated analyzer with the same partition count — until a
+// different partition count replaces it or a mutation drops it.
+func TestPreparedIndexOwnedByDataset(t *testing.T) {
+	a := dbsherlock.MustNew(dbsherlock.WithTheta(0.05))
+	dsL, abnL := simulateAnomaly(t, dbsherlock.LockContention, 10)
+	model, err := a.LearnCause("Lock Contention", dsL, abnL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank := dbsherlock.NewModelBank()
+	if err := bank.Add(model); err != nil {
+		t.Fatal(err)
+	}
+	fresh := dbsherlock.MustNew(dbsherlock.WithTheta(0.05))
+	if err := fresh.AddModel(model); err != nil {
+		t.Fatal(err)
+	}
+
+	ds, abn := simulateAnomaly(t, dbsherlock.LockContention, 1)
+	r := a.Params().NumPartitions
+	a.Prewarm(ds)
+	idx := core.PreparedFor(ds, r)
+	if idx == nil || idx.Generation() != ds.Generation() || idx.Partitions() != r {
+		t.Fatalf("Prewarm left no index for (generation %d, R %d)", ds.Generation(), r)
+	}
+	for _, c := range []struct {
+		name string
+		an   *dbsherlock.Analyzer
+	}{{"prewarming analyzer", a}, {"WithModelBank view", a.WithModelBank(bank)}, {"fresh analyzer", fresh}} {
+		// CaptureState keeps the ranking evaluator alive past the call,
+		// the way the server's diagnosis cache does.
+		res, err := c.an.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: abn, CaptureState: true})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(res.Explanation.Predicates) == 0 || len(res.AllCauses) != 1 {
+			t.Fatalf("%s: diagnosis skipped Algorithm 1 or ranking", c.name)
+		}
+		if core.PreparedFor(ds, r) != idx {
+			t.Errorf("%s: diagnosis replaced the prewarmed index", c.name)
+		}
+	}
+
+	if other := core.PreparedFor(ds, r/2); other == nil || other.Partitions() != r/2 {
+		t.Fatalf("no index at R=%d", r/2)
+	}
+	rebuilt := core.PreparedFor(ds, r)
+	if rebuilt == idx || rebuilt.Partitions() != r {
+		t.Fatal("an index at another R did not replace the prewarmed one")
+	}
+
+	step := make([]float64, ds.Rows())
+	abn.ForEach(func(i int) { step[i] = 1 })
+	if err := ds.AddNumeric("step", step); err != nil {
+		t.Fatal(err)
+	}
+	if after := core.PreparedFor(ds, r); after == rebuilt || after.Generation() != ds.Generation() {
+		t.Fatal("a mutation kept the stale index")
 	}
 }

@@ -20,7 +20,8 @@ import (
 // space cache (which only grows, and is safe for concurrent use), so
 // one state may serve any number of concurrent diagnoses. Reuse is
 // validated, not trusted: Diagnose checks the state against the
-// request's dataset (pointer identity), regions (exact row equality),
+// request's dataset (pointer identity and generation, so a column added
+// since the capture invalidates it), regions (exact row equality),
 // parameters, and domain knowledge, and silently falls back to a cold
 // run on any mismatch — a stale or mismatched state can cost a cache
 // miss but never a wrong answer.
@@ -30,23 +31,30 @@ import (
 // recomputed live on every call (cheaply, against the cached spaces).
 type DiagnosisState struct {
 	ev        *core.Evaluator
+	gen       uint64 // dataset generation the evaluator was built at
 	knowledge *domain.Knowledge
 	preds     []Predicate
 	ranked    []ScoredPredicate
 	pruned    []PrunedPredicate
 }
 
-// matches reports whether the state was captured from an equivalent
-// diagnosis context: same dataset instance, same resolved regions, same
+// accepts reports whether the state may serve req, that is whether it
+// was captured from an equivalent diagnosis context: same dataset
+// instance at the same generation, same resolved regions, same
 // generation parameters (traces excluded — they never influence
-// output), and same installed domain knowledge.
-func (st *DiagnosisState) matches(a *Analyzer, ds *Dataset, abnormal, normal *Region) bool {
-	if st == nil || st.ev == nil || st.ev.Dataset() != ds {
+// output), and same installed domain knowledge. A nil or zero state
+// accepts nothing.
+func (st *DiagnosisState) accepts(a *Analyzer, req DiagnoseRequest) bool {
+	if st == nil || st.ev == nil || st.ev.Dataset() != req.Dataset || st.gen != req.Dataset.Generation() {
 		return false
 	}
 	want := a.params
 	want.Trace = nil
 	if st.ev.Params() != want || st.knowledge != a.knowledge {
+		return false
+	}
+	abnormal, normal, err := resolveRegions(req.Dataset, req.Abnormal, req.Normal)
+	if err != nil {
 		return false
 	}
 	evA, evN := st.ev.Regions()

@@ -136,6 +136,73 @@ func TestDiagnoseReuseMismatchRunsCold(t *testing.T) {
 	if !reflect.DeepEqual(stripTrace(gotOther), stripTrace(wantOther)) {
 		t.Fatal("region-mismatched reuse changed the output")
 	}
+
+	// Same dataset instance and region, but the dataset gained a column
+	// that separates the regions since the capture: also a cold run.
+	ds3, abn3 := simulateAnomaly(t, dbsherlock.LockContention, 1)
+	stale, err := a.Diagnose(context.Background(),
+		dbsherlock.DiagnoseRequest{Dataset: ds3, Abnormal: abn3, CaptureState: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := make([]float64, ds3.Rows())
+	abn3.ForEach(func(i int) { step[i] = 1 })
+	if err := ds3.AddNumeric("step", step); err != nil {
+		t.Fatal(err)
+	}
+	wantGrown, err := a.Diagnose(context.Background(),
+		dbsherlock.DiagnoseRequest{Dataset: ds3, Abnormal: abn3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wantGrown.Explanation.Predicates) != len(stale.Explanation.Predicates)+1 {
+		t.Fatalf("the added column should add one predicate: %d before, %d after",
+			len(stale.Explanation.Predicates), len(wantGrown.Explanation.Predicates))
+	}
+	gotGrown, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{
+		Dataset: ds3, Abnormal: abn3, Reuse: stale.State})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(stripTrace(gotGrown), stripTrace(wantGrown)) {
+		t.Fatalf("reuse after a mutation served the stale answer: %d predicates, cold run %d",
+			len(gotGrown.Explanation.Predicates), len(wantGrown.Explanation.Predicates))
+	}
+}
+
+// TestDiagnoseTraceCountsSpaces: the ranking pass records the partition
+// spaces it built and reused into the request's trace. A cold diagnosis
+// records the same counts whether or not it captures state, and a
+// diagnosis reusing that state builds nothing.
+func TestDiagnoseTraceCountsSpaces(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			a := learnedAnalyzer(t, workers, false)
+			ds, abn := simulateAnomaly(t, dbsherlock.LockContention, 99)
+			diagnose := func(req dbsherlock.DiagnoseRequest) (*dbsherlock.DiagnoseResult, int64, int64) {
+				t.Helper()
+				req.Dataset, req.Abnormal, req.Trace = ds, abn, true
+				res, err := a.Diagnose(context.Background(), req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, res.Trace.Counters["spaces_built"], res.Trace.Counters["spaces_reused"]
+			}
+			_, plainBuilt, plainReused := diagnose(dbsherlock.DiagnoseRequest{})
+			cold, coldBuilt, coldReused := diagnose(dbsherlock.DiagnoseRequest{CaptureState: true})
+			_, hotBuilt, hotReused := diagnose(dbsherlock.DiagnoseRequest{Reuse: cold.State})
+			if plainBuilt == 0 {
+				t.Fatal("a cold diagnosis recorded no partition-space builds")
+			}
+			if coldBuilt != plainBuilt || coldReused != plainReused {
+				t.Errorf("capturing run counted %d built / %d reused, plain run %d / %d",
+					coldBuilt, coldReused, plainBuilt, plainReused)
+			}
+			if hotBuilt != 0 || hotReused == 0 {
+				t.Errorf("reused run counted %d built / %d reused, want 0 / >0", hotBuilt, hotReused)
+			}
+		})
+	}
 }
 
 // TestDiagnoseReuseSeesNewModels: model ranking is never cached — a

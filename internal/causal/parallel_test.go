@@ -1,6 +1,7 @@
 package causal
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -102,17 +103,18 @@ func TestRankGoldenAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestRankEvalSharedEvaluatorParallel checks RankEval against one shared
-// evaluator reused across calls (the server's hot path) stays golden.
+// TestRankEvalSharedEvaluatorParallel checks RankEvalCtx against one
+// shared evaluator reused across calls (the server's hot path) stays
+// golden.
 func TestRankEvalSharedEvaluatorParallel(t *testing.T) {
 	ds, abnormal, normal, repo := rankTestbed(t, 7)
 	p := core.DefaultParams()
 	p.Workers = 1
-	golden := repo.RankEval(core.NewEvaluator(ds, abnormal, normal, p))
+	golden, _ := repo.RankEvalCtx(context.Background(), core.NewEvaluator(ds, abnormal, normal, p), nil)
 	p.Workers = 8
 	ev := core.NewEvaluator(ds, abnormal, normal, p)
 	for run := 0; run < 3; run++ {
-		got := repo.RankEval(ev)
+		got, _ := repo.RankEvalCtx(context.Background(), ev, nil)
 		for i := range got {
 			if got[i].Cause != golden[i].Cause ||
 				math.Float64bits(got[i].Confidence) != math.Float64bits(golden[i].Confidence) {

@@ -180,55 +180,43 @@ func (r *Repository) snapshot() ([]string, []*Model) {
 // sequential run because each model's confidence is computed
 // independently, collected by index, and sorted deterministically.
 func (r *Repository) Rank(ds *metrics.Dataset, abnormal, normal *metrics.Region, p core.Params) []RankedCause {
-	return r.RankEval(core.NewEvaluator(ds, abnormal, normal, p))
+	out, _ := r.RankCtx(context.Background(), ds, abnormal, normal, p)
+	return out
 }
 
 // RankCtx is Rank with cooperative cancellation: scoring stops between
 // models once ctx fires and ctx.Err() is returned with a nil slice. An
 // uncancelled call is byte-identical to Rank.
 func (r *Repository) RankCtx(ctx context.Context, ds *metrics.Dataset, abnormal, normal *metrics.Region, p core.Params) ([]RankedCause, error) {
-	return r.RankEvalCtx(ctx, core.NewEvaluator(ds, abnormal, normal, p))
+	return r.RankEvalCtx(ctx, core.NewEvaluator(ds, abnormal, normal, p), p.Trace)
 }
 
-// RankEval is Rank against a prepared evaluator (shared partition-space
-// cache across all models).
-func (r *Repository) RankEval(ev *core.Evaluator) []RankedCause {
-	out, _ := r.RankEvalCtx(context.Background(), ev)
-	return out
-}
-
-// RankEvalCtx is RankEval with the cancellation contract of RankCtx:
-// ctx is checked between the per-attribute cache warm-up items and
-// between model scores.
-func (r *Repository) RankEvalCtx(ctx context.Context, ev *core.Evaluator) ([]RankedCause, error) {
-	return r.RankEvalTracedCtx(ctx, ev, ev.Params().Trace)
-}
-
-// RankEvalTracedCtx is RankEvalCtx recording stage timings and work
-// counts into tr instead of the evaluator's own trace. The diagnosis
-// cache needs this split: a cached evaluator is shared by many
-// requests, so it is built trace-free and each request brings its own
-// trace to the ranking pass. Passing ev.Params().Trace reproduces
-// RankEvalCtx exactly; the trace never influences the ranking itself.
-func (r *Repository) RankEvalTracedCtx(ctx context.Context, ev *core.Evaluator, tr *obs.Trace) ([]RankedCause, error) {
+// RankEvalCtx is RankCtx against a prepared evaluator, whose partition
+// spaces every model shares and which may outlive this call (the
+// diagnosis cache reuses one across requests). It first builds the
+// spaces of every attribute the models probe, then scores the models
+// against that warm cache; ctx is checked between both kinds of work
+// item. Stage timings and work counts go to tr (nil-safe), which never
+// influences the ranking itself.
+func (r *Repository) RankEvalCtx(ctx context.Context, ev *core.Evaluator, tr *obs.Trace) ([]RankedCause, error) {
 	order, models := r.snapshot()
 	workers := core.ResolveWorkers(ev.Params().Workers)
-	if workers > 1 && len(models) > 1 {
-		// Build the partition spaces every model will probe up front, in
-		// parallel, so the scoring fan-out below hits a warm cache.
-		start := tr.Start()
-		var attrs []string
-		for _, m := range models {
-			for _, p := range m.Predicates {
-				attrs = append(attrs, p.Attr)
-			}
-		}
-		if err := ev.PrepareCtx(ctx, attrs, workers); err != nil {
-			return nil, err
-		}
-		tr.EndStage(obs.StagePrepare, start)
-	}
 	start := tr.Start()
+	n := 0
+	for _, m := range models {
+		n += len(m.Predicates)
+	}
+	attrs := make([]string, 0, n)
+	for _, m := range models {
+		for _, p := range m.Predicates {
+			attrs = append(attrs, p.Attr)
+		}
+	}
+	if err := ev.PrepareCtx(ctx, attrs, workers, tr); err != nil {
+		return nil, err
+	}
+	tr.EndStage(obs.StagePrepare, start)
+	start = tr.Start()
 	out := make([]RankedCause, len(models))
 	err := core.ForEachCtx(ctx, len(models), workers, func(i int) {
 		out[i] = RankedCause{

@@ -18,8 +18,14 @@ import (
 // An Evaluator is safe for concurrent use: the space cache is guarded by
 // an RWMutex, and because space construction is deterministic, losers of
 // a racing build converge on the same labels. Callers that score many
-// models concurrently should Prepare the needed attributes first so the
-// scoring phase runs against a read-mostly cache.
+// models should PrepareCtx the needed attributes first so the scoring
+// phase runs against a read-mostly cache.
+//
+// An Evaluator never carries a trace — one may outlive the request that
+// built it and serve many others — so callers hand their trace to
+// PrepareCtx instead. It is bound to the dataset state it was built
+// over: spaces come from that state's prepared index, and a column added
+// afterwards yields no space.
 type Evaluator struct {
 	ds       *metrics.Dataset
 	abnormal *metrics.Region
@@ -63,9 +69,10 @@ func buildNumEntry(ps *NumericSpace) numEntry {
 }
 
 // NewEvaluator prepares an evaluation context. Spaces are built lazily,
-// against the dataset's prepared columnar index (built and cached here
-// on first use; see prepared.go).
+// against the dataset's prepared columnar index (built here on first use;
+// see prepared.go). p.Trace is dropped: see PrepareCtx.
 func NewEvaluator(ds *metrics.Dataset, abnormal, normal *metrics.Region, p Params) *Evaluator {
+	p.Trace = nil
 	e := &Evaluator{
 		ds: ds, abnormal: abnormal, normal: normal, p: p,
 		prep: PreparedFor(ds, p.NumPartitions),
@@ -135,41 +142,44 @@ func (e *Evaluator) SizeBytes() int64 {
 	return n
 }
 
-// Prepare builds the partition spaces of the named attributes up front,
-// fanning the per-attribute construction out across the worker pool.
-// Duplicate and unknown names are fine (built once / skipped), so
-// callers can pass the raw attribute list of a model set.
-func (e *Evaluator) Prepare(attrs []string, workers int) {
-	_ = e.PrepareCtx(context.Background(), attrs, workers)
-}
-
-// PrepareCtx is Prepare with cooperative cancellation: construction is
-// abandoned between attributes once ctx fires and ctx.Err() is
-// returned. The cache stays consistent either way — every space that
-// finished building remains valid and reusable.
-func (e *Evaluator) PrepareCtx(ctx context.Context, attrs []string, workers int) error {
-	seen := make(map[string]bool, len(attrs))
-	todo := attrs[:0:0]
+// PrepareCtx builds the partition spaces of the named attributes up
+// front, fanning the per-attribute construction out across the worker
+// pool. Duplicate and unknown names are fine (built once / skipped), so
+// callers can pass the raw attribute list of a model set. tr (nil-safe)
+// counts each known name whose space this call built as spaces_built and
+// every other known name as spaces_reused.
+//
+// Construction is abandoned between attributes once ctx fires and
+// ctx.Err() is returned. The cache stays consistent either way — every
+// space that finished building remains valid and reusable.
+func (e *Evaluator) PrepareCtx(ctx context.Context, attrs []string, workers int, tr *obs.Trace) error {
+	// Deduplicate by column index: a flag per column costs far less than
+	// a set of names, and unknown names drop out on the way.
+	seen := make([]bool, e.ds.NumAttrs())
+	todo := make([]int, 0, len(seen))
+	dups := 0
 	for _, a := range attrs {
-		if !seen[a] {
-			seen[a] = true
-			todo = append(todo, a)
+		i, ok := e.ds.ColumnIndex(a)
+		switch {
+		case !ok:
+		case seen[i]:
+			dups++
+		default:
+			seen[i] = true
+			todo = append(todo, i)
 		}
 	}
+	tr.Count(obs.CounterSpacesReused, dups)
 	resolved := ResolveWorkers(workers)
 	scratches := make([]*scratch, EffectiveWorkers(len(todo), resolved))
 	for i := range scratches {
 		scratches[i] = getScratch()
 	}
-	err := ForEachWorkerCtx(ctx, len(todo), resolved, func(w, i int) {
-		col, ok := e.ds.Column(todo[i])
-		if !ok {
-			return
-		}
-		if col.Attr.Type == metrics.Numeric {
-			e.numericSpace(todo[i], col, scratches[w])
+	err := ForEachWorkerCtx(ctx, len(todo), resolved, func(w, k int) {
+		if i := todo[k]; e.ds.ColumnAt(i).Attr.Type == metrics.Numeric {
+			e.numericSpace(i, scratches[w], tr)
 		} else {
-			e.categoricalSpace(todo[i], col, scratches[w])
+			e.categoricalSpace(i, scratches[w], tr)
 		}
 	})
 	for _, sc := range scratches {
@@ -181,12 +191,12 @@ func (e *Evaluator) PrepareCtx(ctx context.Context, attrs []string, workers int)
 // Separation computes the partition-space separation of one predicate,
 // identically to PartitionSeparation but with cached spaces.
 func (e *Evaluator) Separation(pred Predicate) float64 {
-	col, ok := e.ds.Column(pred.Attr)
-	if !ok || col.Attr.Type != pred.Type {
+	i, ok := e.ds.ColumnIndex(pred.Attr)
+	if !ok || e.ds.ColumnAt(i).Attr.Type != pred.Type {
 		return 0
 	}
 	if pred.Type == metrics.Numeric {
-		ent := e.numericSpace(pred.Attr, col, nil)
+		ent := e.numericSpace(i, nil, nil)
 		ps := ent.ps
 		if ps == nil {
 			return 0
@@ -240,7 +250,7 @@ func (e *Evaluator) Separation(pred Predicate) float64 {
 		return ratio(hitA, nA) - ratio(hitN, nN)
 	}
 
-	cs := e.categoricalSpace(pred.Attr, col, nil)
+	cs := e.categoricalSpace(i, nil, nil)
 	if cs == nil {
 		return 0
 	}
@@ -262,18 +272,20 @@ func (e *Evaluator) Separation(pred Predicate) float64 {
 	return ratio(hitA, nA) - ratio(hitN, nN)
 }
 
-// numericSpace returns the cached entry for attr, building it with the
-// given scratch arena on a miss (nil falls back to the shared pool).
-// Cache entries own their Labels — they are handed to concurrent
-// scoring goroutines and outlive every scratch — so nothing
-// scratch-backed is ever stored. A constant/all-NaN attribute yields an
-// entry with a nil ps.
-func (e *Evaluator) numericSpace(attr string, col metrics.Column, sc *scratch) numEntry {
+// numericSpace returns the cached entry of column i, building it with
+// the given scratch arena on a miss (nil falls back to the shared pool)
+// and counting the hit or miss into tr. Cache entries own their Labels —
+// they are handed to concurrent scoring goroutines and outlive every
+// scratch — so nothing scratch-backed is ever stored. A constant/all-NaN
+// attribute yields an entry with a nil ps.
+func (e *Evaluator) numericSpace(i int, sc *scratch, tr *obs.Trace) numEntry {
+	col := e.ds.ColumnAt(i)
+	attr := col.Attr.Name
 	e.mu.RLock()
 	ent, ok := e.num[attr]
 	e.mu.RUnlock()
 	if ok {
-		e.p.Trace.Count(obs.CounterSpacesReused, 1)
+		tr.Count(obs.CounterSpacesReused, 1)
 		return ent
 	}
 	if sc == nil {
@@ -283,12 +295,7 @@ func (e *Evaluator) numericSpace(attr string, col metrics.Column, sc *scratch) n
 	// Build outside the lock: construction is the expensive part and is
 	// deterministic, so concurrent builders produce identical spaces and
 	// the first writer wins.
-	var built *NumericSpace
-	if pc := e.preparedColumn(attr); pc != nil {
-		built, _, _, _, _ = newNumericSpacePrepared(attr, col.Num, pc, e.aRuns, e.nRuns, e.p.NumPartitions, sc)
-	} else {
-		built = newNumericSpace(attr, col.Num, e.abnormal, e.normal, e.p.NumPartitions, sc)
-	}
+	built, _, _, _, _ := newNumericSpacePrepared(attr, col.Num, e.prep.column(i), e.aRuns, e.nRuns, e.p.NumPartitions, sc)
 	if built != nil && !e.p.DisableFiltering {
 		built.filter(sc)
 	}
@@ -296,10 +303,10 @@ func (e *Evaluator) numericSpace(attr string, col metrics.Column, sc *scratch) n
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if ent, ok := e.num[attr]; ok {
-		e.p.Trace.Count(obs.CounterSpacesReused, 1)
+		tr.Count(obs.CounterSpacesReused, 1)
 		return ent
 	}
-	e.p.Trace.Count(obs.CounterSpacesBuilt, 1)
+	tr.Count(obs.CounterSpacesBuilt, 1)
 	e.num[attr] = entry
 	return entry
 }
@@ -308,52 +315,37 @@ func (e *Evaluator) numericSpace(attr string, col metrics.Column, sc *scratch) n
 // of an attribute, or nil when the attribute is missing, categorical,
 // or yields no space. Exported for tests and experiment harnesses.
 func (e *Evaluator) NumericSpaceFor(attr string) *NumericSpace {
-	col, ok := e.ds.Column(attr)
-	if !ok || col.Attr.Type != metrics.Numeric {
-		return nil
-	}
-	return e.numericSpace(attr, col, nil).ps
-}
-
-// preparedColumn resolves the prepared index entry of a numeric
-// attribute, nil when the dataset has no prepared index or the column
-// was added after preparation.
-func (e *Evaluator) preparedColumn(attr string) *PreparedColumn {
-	if e.prep == nil {
-		return nil
-	}
 	i, ok := e.ds.ColumnIndex(attr)
-	if !ok {
+	if !ok || e.ds.ColumnAt(i).Attr.Type != metrics.Numeric {
 		return nil
 	}
-	return e.prep.column(i)
+	return e.numericSpace(i, nil, nil).ps
 }
 
-func (e *Evaluator) categoricalSpace(attr string, col metrics.Column, sc *scratch) *CategoricalSpace {
+// categoricalSpace is numericSpace for a dictionary-encoded categorical
+// column.
+func (e *Evaluator) categoricalSpace(i int, sc *scratch, tr *obs.Trace) *CategoricalSpace {
+	col := e.ds.ColumnAt(i)
+	attr := col.Attr.Name
 	e.mu.RLock()
 	cs, ok := e.cat[attr]
 	e.mu.RUnlock()
 	if ok {
-		e.p.Trace.Count(obs.CounterSpacesReused, 1)
+		tr.Count(obs.CounterSpacesReused, 1)
 		return cs
 	}
 	if sc == nil {
 		sc = getScratch()
 		defer putScratch(sc)
 	}
-	var built *CategoricalSpace
-	if col.CatIDs != nil {
-		built = newCategoricalSpaceIDs(attr, col, e.aRuns, e.nRuns, sc)
-	} else {
-		built = newCategoricalSpace(attr, col.Cat, e.abnormal, e.normal, sc)
-	}
+	built := newCategoricalSpaceIDs(attr, col, e.aRuns, e.nRuns, sc)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if cs, ok := e.cat[attr]; ok {
-		e.p.Trace.Count(obs.CounterSpacesReused, 1)
+		tr.Count(obs.CounterSpacesReused, 1)
 		return cs
 	}
-	e.p.Trace.Count(obs.CounterSpacesBuilt, 1)
+	tr.Count(obs.CounterSpacesBuilt, 1)
 	e.cat[attr] = built
 	return built
 }

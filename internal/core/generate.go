@@ -119,9 +119,9 @@ func GenerateCtx(ctx context.Context, ds *metrics.Dataset, abnormal, normal *met
 		col := ds.ColumnAt(i)
 		switch col.Attr.Type {
 		case metrics.Numeric:
-			results[i].pred, results[i].ok = generateNumeric(col, prep.column(i), abnormal, normal, aRuns, nRuns, p, scratches[w])
+			results[i].pred, results[i].ok = generateNumeric(col, prep.column(i), aRuns, nRuns, p, scratches[w])
 		case metrics.Categorical:
-			results[i].pred, results[i].ok = generateCategorical(col, abnormal, normal, aRuns, nRuns, p, scratches[w])
+			results[i].pred, results[i].ok = generateCategorical(col, aRuns, nRuns, p, scratches[w])
 		}
 	})
 	for _, sc := range scratches {
@@ -141,26 +141,13 @@ func GenerateCtx(ctx context.Context, ds *metrics.Dataset, abnormal, normal *met
 	return out, nil
 }
 
-func generateNumeric(col metrics.Column, pc *PreparedColumn, abnormal, normal *metrics.Region, aRuns, nRuns []int32, p Params, sc *scratch) (Predicate, bool) {
+func generateNumeric(col metrics.Column, pc *PreparedColumn, aRuns, nRuns []int32, p Params, sc *scratch) (Predicate, bool) {
 	tr := p.Trace
 	start := tr.Start()
-	var ps *NumericSpace
-	var muA, muN float64
-	if pc != nil {
-		// Prepared fast path: labeling is a counting pass over the
-		// precomputed bucket ids, and both region means fall out of the
-		// same fused pass (identical visit order to regionMean).
-		var sumA, sumN float64
-		var cntA, cntN int
-		ps, sumA, sumN, cntA, cntN = newNumericSpacePrepared(col.Attr.Name, col.Num, pc, aRuns, nRuns, p.NumPartitions, sc)
-		muA, muN = meanOf(sumA, cntA), meanOf(sumN, cntN)
-	} else {
-		ps = newNumericSpace(col.Attr.Name, col.Num, abnormal, normal, p.NumPartitions, sc)
-		if ps != nil {
-			muA = regionMean(col.Num, abnormal)
-			muN = regionMean(col.Num, normal)
-		}
-	}
+	// Labeling is a counting pass over the prepared bucket ids, and both
+	// region means fall out of the same fused pass.
+	ps, sumA, sumN, cntA, cntN := newNumericSpacePrepared(col.Attr.Name, col.Num, pc, aRuns, nRuns, p.NumPartitions, sc)
+	muA, muN := meanOf(sumA, cntA), meanOf(sumN, cntN)
 	tr.EndStage(obs.StagePartition, start)
 	if ps == nil {
 		return Predicate{}, false
@@ -211,15 +198,10 @@ func generateNumeric(col metrics.Column, pc *PreparedColumn, abnormal, normal *m
 	return pred, true
 }
 
-func generateCategorical(col metrics.Column, abnormal, normal *metrics.Region, aRuns, nRuns []int32, p Params, sc *scratch) (Predicate, bool) {
+func generateCategorical(col metrics.Column, aRuns, nRuns []int32, p Params, sc *scratch) (Predicate, bool) {
 	tr := p.Trace
 	start := tr.Start()
-	var cs *CategoricalSpace
-	if col.CatIDs != nil {
-		cs = newCategoricalSpaceIDs(col.Attr.Name, col, aRuns, nRuns, sc)
-	} else {
-		cs = newCategoricalSpace(col.Attr.Name, col.Cat, abnormal, normal, sc)
-	}
+	cs := newCategoricalSpaceIDs(col.Attr.Name, col, aRuns, nRuns, sc)
 	tr.EndStage(obs.StagePartition, start)
 	if cs == nil {
 		return Predicate{}, false
@@ -236,33 +218,9 @@ func generateCategorical(col metrics.Column, abnormal, normal *metrics.Region, a
 	return pred, true
 }
 
-// meanOf finishes a fused kernel sum identically to regionMean: NaN for
-// an empty region, sum/n otherwise (same division, same operand order).
+// meanOf finishes a fused kernel sum: NaN for an empty region, sum/n
+// otherwise (the division refRegionMean in golden_ref_test.go applies).
 func meanOf(sum float64, n int) float64 {
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
-}
-
-// regionMean returns the mean of values over the region's rows, skipping
-// NaNs. It iterates the region's runs directly, so no index slice is
-// materialized.
-func regionMean(values []float64, r *metrics.Region) float64 {
-	var sum float64
-	var n int
-	r.Runs(func(lo, hi int) {
-		if hi > len(values) {
-			hi = len(values)
-		}
-		for i := lo; i < hi; i++ {
-			if math.IsNaN(values[i]) {
-				continue
-			}
-			sum += values[i]
-			n++
-		}
-	})
 	if n == 0 {
 		return math.NaN()
 	}

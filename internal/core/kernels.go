@@ -47,7 +47,8 @@ func minMaxNaN(values []float64) (min, max float64, nans int, ok bool) {
 // partition id and accumulates the row's value into a running sum, all
 // in one contiguous loop per run. NaN rows (bucket id -1) are skipped.
 //
-// The summation order is run order — identical to regionMean — and a
+// The summation order is run order — the order of the reference region
+// mean (refRegionMean in golden_ref_test.go) — and a
 // bit set in bits[j>>6] corresponds exactly to hasA[j]/hasN[j] in the
 // reference row loop, because bucket[i] was computed with the same
 // IndexOf the reference calls per row.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -227,7 +228,9 @@ func TestEvaluatorPrepareMatchesLazy(t *testing.T) {
 	for _, pred := range preds {
 		attrs = append(attrs, pred.Attr, pred.Attr) // duplicates are fine
 	}
-	eager.Prepare(attrs, 8)
+	if err := eager.PrepareCtx(context.Background(), attrs, 8, nil); err != nil {
+		t.Fatal(err)
+	}
 	for _, pred := range preds {
 		if got, want := eager.Separation(pred), lazy.Separation(pred); got != want {
 			t.Errorf("predicate %v: prepared separation %v, lazy %v", pred, got, want)

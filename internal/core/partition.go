@@ -115,9 +115,8 @@ func NewNumericSpace(attr string, values []float64, abnormal, normal *metrics.Re
 }
 
 // newNumericSpace is NewNumericSpace against a caller-owned scratch
-// arena; the hot fan-outs (Generate, Evaluator.Prepare) thread one
-// scratch per worker through it so the hasA/hasN membership flags are
-// reused across all attributes. The returned space owns its Labels.
+// arena: the unprepared per-row scan, which the prepared kernels are
+// tested against. The returned space owns its Labels.
 func newNumericSpace(attr string, values []float64, abnormal, normal *metrics.Region, r int, sc *scratch) *NumericSpace {
 	min, max, _, ok := minMaxNaN(values)
 	if !ok || min >= max {
@@ -157,12 +156,14 @@ func newNumericSpace(attr string, values []float64, abnormal, normal *metrics.Re
 // precomputed bucket ids (regions arrive run-length encoded, see
 // Region.RunList). Returns the fused region sums and counts as a
 // by-product (the rows visited and the summation order are exactly
-// regionMean's), so generateNumeric gets both means for free. The
-// resulting space is bit-identical to newNumericSpace's: identical
-// min/max (same scan), identical bucket per row (same IndexOf), and a
-// set membership bit is exactly a true hasA/hasN flag.
+// those of a run-order region mean), so generateNumeric gets both means
+// for free. The resulting space is bit-identical to newNumericSpace's:
+// identical min/max (same scan), identical bucket per row (same
+// IndexOf), and a set membership bit is exactly a true hasA/hasN flag.
+// A nil pc — a column added after the index was built — yields no
+// space, like a constant column.
 func newNumericSpacePrepared(attr string, values []float64, pc *PreparedColumn, aRuns, nRuns []int32, r int, sc *scratch) (ps *NumericSpace, sumA, sumN float64, cntA, cntN int) {
-	if pc.Constant {
+	if pc == nil || pc.Constant {
 		return nil, 0, 0, 0, 0
 	}
 	ps = &NumericSpace{

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"dbsherlock/internal/metrics"
-)
+import "dbsherlock/internal/metrics"
 
 // PreparedColumn is the immutable columnar index of one numeric
 // attribute: the observed range plus every row's partition id at a
@@ -89,109 +85,17 @@ func prepareDataset(ds *metrics.Dataset, r int) *PreparedDataset {
 	return p
 }
 
-// preparedCacheCap bounds the process-wide prepared-index cache. An
-// entry costs rows x numeric-attrs x 4 bytes (~420 KB for the paper's
-// 900-row / 116-attr testbed), so the cap keeps worst-case retention a
-// few MB while covering every concurrently hot dataset: entries are
-// evicted least-recently-used, and a dataset mutation simply orphans
-// the old generation's entry until it ages out.
-const preparedCacheCap = 16
-
-type prepKey struct {
-	gen uint64
-	r   int
-}
-
-type prepEntry struct {
-	p    *PreparedDataset
-	tick uint64
-}
-
-var (
-	prepMu    sync.Mutex
-	prepCache = make(map[prepKey]*prepEntry)
-	prepTick  uint64
-)
-
 // PreparedFor returns the prepared index of the dataset at partition
-// count r, building and caching it on first use. The cache key is the
-// dataset's generation — process-globally unique per dataset state (see
-// metrics.Dataset.Generation) — so any mutation transparently
-// invalidates: the next call sees a new generation, builds a fresh
-// index, and the stale entry ages out of the LRU. Returns nil for nil,
-// empty, or never-mutated datasets; callers fall back to the unprepared
-// path.
+// count r. The index lives on the dataset (metrics.PreparedIndex): the
+// first call for a dataset state builds it, every later call — from any
+// analyzer — shares it, a different r replaces it, and a mutation drops
+// it, so the index is freed with its dataset. Returns nil for nil or
+// empty datasets and for r < 2.
 func PreparedFor(ds *metrics.Dataset, r int) *PreparedDataset {
 	if ds == nil || ds.Rows() == 0 || r < 2 {
 		return nil
 	}
-	gen := ds.Generation()
-	if gen == 0 {
-		return nil
-	}
-	key := prepKey{gen: gen, r: r}
-	prepMu.Lock()
-	if e, ok := prepCache[key]; ok {
-		prepTick++
-		e.tick = prepTick
-		prepMu.Unlock()
-		return e.p
-	}
-	prepMu.Unlock()
-
-	// Build outside the lock: construction is deterministic, so racing
-	// builders produce identical indexes and the first insert wins.
-	built := prepareDataset(ds, r)
-	prepMu.Lock()
-	defer prepMu.Unlock()
-	if e, ok := prepCache[key]; ok {
-		prepTick++
-		e.tick = prepTick
-		return e.p
-	}
-	if len(prepCache) >= preparedCacheCap {
-		var oldest prepKey
-		var oldestTick uint64
-		first := true
-		for k, e := range prepCache {
-			if first || e.tick < oldestTick {
-				oldest, oldestTick, first = k, e.tick, false
-			}
-		}
-		delete(prepCache, oldest)
-	}
-	prepTick++
-	prepCache[key] = &prepEntry{p: built, tick: prepTick}
-	return built
-}
-
-// Prewarm builds and caches the prepared index ahead of the first
-// diagnosis — the server calls it on upload so a cold Explain never
-// pays the build inside the request.
-func Prewarm(ds *metrics.Dataset, r int) {
-	_ = PreparedFor(ds, r)
-}
-
-// preparedCacheLen reports the resident entry count (tests only).
-func preparedCacheLen() int {
-	prepMu.Lock()
-	defer prepMu.Unlock()
-	return len(prepCache)
-}
-
-// preparedCacheReset clears the cache (tests only).
-func preparedCacheReset() {
-	prepMu.Lock()
-	defer prepMu.Unlock()
-	prepCache = make(map[prepKey]*prepEntry)
-	prepTick = 0
-}
-
-// preparedCacheContains reports residency of one (generation, R) key
-// without touching recency (tests only).
-func preparedCacheContains(gen uint64, r int) bool {
-	prepMu.Lock()
-	defer prepMu.Unlock()
-	_, ok := prepCache[prepKey{gen: gen, r: r}]
-	return ok
+	return metrics.PreparedIndex(ds, r, func(ds *metrics.Dataset, r int) any {
+		return prepareDataset(ds, r)
+	}).(*PreparedDataset)
 }

@@ -11,15 +11,16 @@ import (
 )
 
 // These tests pin the prepared-index contract (DESIGN.md §16): a space
-// built through the prepared fast path is identical to one built by the
-// reference per-row scan, the cache is generation-keyed so any dataset
-// mutation transparently invalidates, and residency is bounded by an
-// LRU at preparedCacheCap entries.
+// built through the prepared kernels is identical to one built by the
+// unprepared per-row scan, and the index is keyed by dataset generation
+// so any dataset mutation transparently invalidates it. Ownership — one
+// index per dataset, shared by every analyzer — is pinned at the package
+// root (TestPreparedIndexOwnedByDataset).
 
 // TestPreparedSpaceMatchesFresh drives every numeric column of the
 // golden datasets through both construction paths — the prepared
 // counting kernels and the unprepared scan — and requires identical
-// spaces plus regionMean-identical label sums.
+// spaces plus kernel sums identical to the reference region mean.
 func TestPreparedSpaceMatchesFresh(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rows := 150 + 30*int(seed)
@@ -65,10 +66,10 @@ func TestPreparedSpaceMatchesFresh(t *testing.T) {
 					}
 					muA := meanOf(sumA, cntA)
 					muN := meanOf(sumN, cntN)
-					refA := regionMean(col.Num, reg.abnormal)
-					refN := regionMean(col.Num, normal)
+					refA := refRegionMean(col.Num, reg.abnormal)
+					refN := refRegionMean(col.Num, normal)
 					if !sameFloat(muA, refA) || !sameFloat(muN, refN) {
-						t.Fatalf("%s: kernel means (%v, %v), regionMean (%v, %v)", name, muA, muN, refA, refN)
+						t.Fatalf("%s: kernel means (%v, %v), refRegionMean (%v, %v)", name, muA, muN, refA, refN)
 					}
 				}
 			}
@@ -80,9 +81,8 @@ func sameFloat(a, b float64) bool {
 	return a == b || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// TestPreparedForGuards pins the fall-back conditions: nil, empty, and
-// never-mutated datasets, and degenerate partition counts, all yield no
-// index.
+// TestPreparedForGuards pins the conditions under which no index
+// exists: nil and empty datasets and degenerate partition counts.
 func TestPreparedForGuards(t *testing.T) {
 	if PreparedFor(nil, 250) != nil {
 		t.Error("nil dataset: want nil index")
@@ -100,80 +100,10 @@ func TestPreparedForGuards(t *testing.T) {
 	}
 }
 
-// TestPreparedCacheLRU fills the cache past its cap and checks the
-// oldest entries were evicted while the newest remain resident.
-func TestPreparedCacheLRU(t *testing.T) {
-	preparedCacheReset()
-	t.Cleanup(preparedCacheReset)
-	const extra = 5
-	total := preparedCacheCap + extra
-	gens := make([]uint64, total)
-	for i := 0; i < total; i++ {
-		ds := metrics.MustNewDataset([]int64{0, 1, 2, 3})
-		if err := ds.AddNumeric("m", []float64{1, 2, 3, float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-		if PreparedFor(ds, 10) == nil {
-			t.Fatalf("dataset %d: nil index", i)
-		}
-		gens[i] = ds.Generation()
-	}
-	if n := preparedCacheLen(); n != preparedCacheCap {
-		t.Fatalf("cache holds %d entries, cap is %d", n, preparedCacheCap)
-	}
-	for i := 0; i < extra; i++ {
-		if preparedCacheContains(gens[i], 10) {
-			t.Errorf("entry %d (gen %d) should have been LRU-evicted", i, gens[i])
-		}
-	}
-	for i := extra; i < total; i++ {
-		if !preparedCacheContains(gens[i], 10) {
-			t.Errorf("entry %d (gen %d) should be resident", i, gens[i])
-		}
-	}
-}
-
-// TestPreparedCacheRecency checks that a cache hit refreshes recency:
-// the oldest-inserted but recently-touched entry survives eviction.
-func TestPreparedCacheRecency(t *testing.T) {
-	preparedCacheReset()
-	t.Cleanup(preparedCacheReset)
-	first := metrics.MustNewDataset([]int64{0, 1})
-	if err := first.AddNumeric("m", []float64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	PreparedFor(first, 10)
-	var datasets []*metrics.Dataset
-	for i := 1; i < preparedCacheCap; i++ {
-		ds := metrics.MustNewDataset([]int64{0, 1})
-		if err := ds.AddNumeric("m", []float64{float64(i), 2}); err != nil {
-			t.Fatal(err)
-		}
-		PreparedFor(ds, 10)
-		datasets = append(datasets, ds)
-	}
-	// Touch the first entry, then overflow the cache by one: the victim
-	// must be the second-oldest, not the freshly touched first.
-	PreparedFor(first, 10)
-	over := metrics.MustNewDataset([]int64{0, 1})
-	if err := over.AddNumeric("m", []float64{99, 2}); err != nil {
-		t.Fatal(err)
-	}
-	PreparedFor(over, 10)
-	if !preparedCacheContains(first.Generation(), 10) {
-		t.Error("recently touched entry was evicted")
-	}
-	if preparedCacheContains(datasets[0].Generation(), 10) {
-		t.Error("least-recently-used entry survived eviction")
-	}
-}
-
 // TestPreparedInvalidationOnMutation checks every mutating Dataset
 // method bumps the generation, so PreparedFor after a mutation returns
 // a fresh index covering the new column and never serves the stale one.
 func TestPreparedInvalidationOnMutation(t *testing.T) {
-	preparedCacheReset()
-	t.Cleanup(preparedCacheReset)
 	ds := metrics.MustNewDataset([]int64{0, 1, 2, 3})
 	if err := ds.AddNumeric("a", []float64{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
@@ -212,7 +142,7 @@ func TestPreparedInvalidationOnMutation(t *testing.T) {
 		t.Fatal("AddCategorical: stale prepared index served after mutation")
 	}
 
-	// Distinct partition counts key distinct entries on one generation.
+	// A different partition count gets its own index.
 	if PreparedFor(ds, 25) == p3 {
 		t.Fatal("indexes for different partition counts were conflated")
 	}

@@ -23,15 +23,15 @@ import (
 // entry only when every field matches: the tenant (isolation — tenants
 // never share cached state), the tenant-scoped dataset id, the
 // dataset's generation number (bumped on every mutation, so stale data
-// can never be served), a fingerprint of the resolved abnormal and
-// normal regions, and a digest of the output-relevant generation
-// parameters.
+// can never be served), and a fingerprint of the resolved abnormal and
+// normal regions. Parameters are not part of the key: every cached
+// diagnosis runs with the server's one parameter set, and the engine
+// re-checks them on every reuse.
 type Key struct {
 	Tenant     string
 	DatasetID  string
 	Generation uint64
 	RegionFP   uint64
-	ParamsHash uint64
 }
 
 // Entry is the cached value. The cache only needs its retained size;

@@ -31,7 +31,7 @@ func (e *growingEntry) grow(by int64) {
 }
 
 func key(tenant, ds string, gen uint64) Key {
-	return Key{Tenant: tenant, DatasetID: ds, Generation: gen, RegionFP: 7, ParamsHash: 9}
+	return Key{Tenant: tenant, DatasetID: ds, Generation: gen, RegionFP: 7}
 }
 
 func TestGetPutHitMiss(t *testing.T) {
@@ -129,7 +129,7 @@ func TestPutRefreshReaccounts(t *testing.T) {
 func TestInvalidateDatasetScoped(t *testing.T) {
 	c := New(16, 0, nil)
 	kA1 := key("alice", "ds-1", 1)
-	kA1b := Key{Tenant: "alice", DatasetID: "ds-1", Generation: 1, RegionFP: 99, ParamsHash: 9}
+	kA1b := Key{Tenant: "alice", DatasetID: "ds-1", Generation: 1, RegionFP: 99}
 	kA2 := key("alice", "ds-2", 1)
 	kB1 := key("bob", "ds-1", 1)
 	for _, k := range []Key{kA1, kA1b, kA2, kB1} {

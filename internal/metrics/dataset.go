@@ -44,6 +44,19 @@ type Dataset struct {
 	cols   []Column
 	byName map[string]int
 	gen    uint64 // see Generation
+
+	// prepared is the one derived-index slot (see PreparedIndex). Every
+	// mutation empties it, so an index lives exactly as long as the
+	// dataset state it indexes.
+	prepared atomic.Pointer[preparedSlot]
+}
+
+// preparedSlot is one derived index and the (generation, partition
+// count) it was built for.
+type preparedSlot struct {
+	gen uint64
+	r   int
+	v   any
 }
 
 // NewDataset creates a dataset over the given timestamps. Timestamps must
@@ -120,7 +133,30 @@ func (d *Dataset) addColumn(c Column) error {
 	d.byName[c.Attr.Name] = len(d.cols)
 	d.cols = append(d.cols, c)
 	d.gen = datasetGen.Add(1)
+	d.prepared.Store(nil)
 	return nil
+}
+
+// PreparedIndex returns the derived index the dataset holds for
+// partition count r, calling build and storing its result when the slot
+// is empty or holds an index for another partition count. The dataset
+// keeps one index: a different r replaces it, and a mutation drops it.
+// Racing builders may each call build, but all of them return the first
+// index stored. It is a function rather than a method so the public
+// Dataset alias gains no method.
+func PreparedIndex(d *Dataset, r int, build func(*Dataset, int) any) any {
+	cur := d.prepared.Load()
+	if cur != nil && cur.gen == d.gen && cur.r == r {
+		return cur.v
+	}
+	next := &preparedSlot{gen: d.gen, r: r, v: build(d, r)}
+	for !d.prepared.CompareAndSwap(cur, next) {
+		cur = d.prepared.Load()
+		if cur != nil && cur.gen == d.gen && cur.r == r {
+			return cur.v
+		}
+	}
+	return next.v
 }
 
 // Generation returns a monotonic mutation counter for this dataset:
@@ -135,15 +171,16 @@ func (d *Dataset) Generation() uint64 { return d.gen }
 // ContentEqual reports whether two datasets hold identical content —
 // timestamps, attribute order and descriptors, and every value — while
 // ignoring the generation stamp, which is unique per instance by
-// design. Tests comparing independently built datasets want this, not
+// design, and the prepared index derived from the content. Tests
+// comparing independently built datasets want this, not
 // reflect.DeepEqual.
 func (d *Dataset) ContentEqual(o *Dataset) bool {
 	if d == nil || o == nil {
 		return d == o
 	}
-	a, b := *d, *o
-	a.gen, b.gen = 0, 0
-	return reflect.DeepEqual(&a, &b)
+	return reflect.DeepEqual(d.time, o.time) &&
+		reflect.DeepEqual(d.cols, o.cols) &&
+		reflect.DeepEqual(d.byName, o.byName)
 }
 
 // Attributes returns descriptors for all columns in insertion order.

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -291,5 +292,72 @@ func TestCategoricalDictionaryEmpty(t *testing.T) {
 	vals, ok := ds.UniqueCategories("c")
 	if !ok || vals != nil {
 		t.Fatalf("UniqueCategories = %v, %v; want nil, true", vals, ok)
+	}
+}
+
+// TestPreparedIndexSlot pins the dataset's one derived-index slot: a
+// build per (generation, partition count), shared by later calls; a
+// different partition count replaces the index; a mutation empties the
+// slot; and neither ContentEqual nor Clone sees the slot.
+func TestPreparedIndexSlot(t *testing.T) {
+	ds := MustNewDataset(seqTimestamps(3))
+	if err := ds.AddNumeric("v", []float64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	builds := 0
+	build := func(d *Dataset, r int) any {
+		builds++
+		return &[2]uint64{d.Generation(), uint64(r)}
+	}
+	first := PreparedIndex(ds, 10, build)
+	if again := PreparedIndex(ds, 10, build); again != first || builds != 1 {
+		t.Fatalf("second lookup at the same R: same index %v, builds %d; want true, 1", again == first, builds)
+	}
+	if !ds.Clone().ContentEqual(ds) {
+		t.Error("a filled slot made the dataset unequal to its clone")
+	}
+	if other := PreparedIndex(ds, 20, build); other == first || builds != 2 {
+		t.Fatalf("another R: reused the R=10 index or skipped the build (builds %d)", builds)
+	}
+	if PreparedIndex(ds, 10, build) == first || builds != 3 {
+		t.Fatalf("R=10 index survived its replacement by R=20 (builds %d)", builds)
+	}
+	if err := ds.AddNumeric("w", []float64{4, 5, 6}); err != nil {
+		t.Fatal(err)
+	}
+	if ds.prepared.Load() != nil {
+		t.Fatal("a mutation kept the prepared index")
+	}
+	if got := PreparedIndex(ds, 10, build).(*[2]uint64); got[0] != ds.Generation() || builds != 4 {
+		t.Fatalf("after a mutation: index for generation %d (builds %d), want %d (4)", got[0], builds, ds.Generation())
+	}
+}
+
+// TestPreparedIndexRacingBuilders: goroutines racing to fill an empty
+// slot may each build, but all of them return the first index stored,
+// and so does every later lookup.
+func TestPreparedIndexRacingBuilders(t *testing.T) {
+	ds := MustNewDataset(seqTimestamps(3))
+	if err := ds.AddNumeric("v", []float64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	build := func(*Dataset, int) any { return new(int) }
+	got := make([]any, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = PreparedIndex(ds, 10, build)
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if got[g] != got[0] {
+			t.Fatalf("goroutine %d returned a different index than goroutine 0", g)
+		}
+	}
+	if PreparedIndex(ds, 10, build) != got[0] {
+		t.Fatal("a later lookup did not return the stored index")
 	}
 }

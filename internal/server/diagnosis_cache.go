@@ -1,9 +1,6 @@
 package server
 
 import (
-	"hash/fnv"
-	"math"
-
 	"dbsherlock"
 	"dbsherlock/internal/diagcache"
 )
@@ -18,7 +15,7 @@ const DefaultDiagCacheEntries = 256
 // /v1/explain and /v1/explain/batch: the expensive intermediate state
 // of each diagnosis (prepared partition spaces, extracted predicates —
 // see dbsherlock.DiagnosisState) is retained keyed by (tenant, dataset,
-// dataset generation, region, parameters) and reused on repeat requests
+// dataset generation, region) and reused on repeat requests
 // of the same incident, which skips Algorithm 1 entirely and re-ranks
 // only the causal models. Responses are byte-identical with and without
 // the cache.
@@ -39,35 +36,6 @@ func WithDiagnosisCache(maxEntries int, maxBytes int64) Option {
 	}
 }
 
-// paramsDigest hashes the output-relevant generation parameters into
-// the cache key. Workers and Trace are excluded on purpose: neither
-// influences diagnosis output (parallel runs are byte-identical to
-// sequential ones), so requests served at different pool sizes share
-// state. The engine re-validates full parameter equality before
-// trusting a reused state regardless.
-func paramsDigest(p dbsherlock.Params) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	put(uint64(p.NumPartitions))
-	put(math.Float64bits(p.Theta))
-	put(math.Float64bits(p.Delta))
-	var flags uint64
-	if p.DisableFiltering {
-		flags |= 1
-	}
-	if p.DisableGapFilling {
-		flags |= 2
-	}
-	put(flags)
-	return h.Sum64()
-}
-
 // diagKey composes the cache key for one explain request. The dataset's
 // generation number makes keys self-invalidating across mutations, and
 // the region fingerprint distinguishes incidents within one dataset
@@ -82,7 +50,6 @@ func (s *Server) diagKey(tenant, datasetID string, ds *dbsherlock.Dataset, abnor
 		DatasetID:  datasetID,
 		Generation: ds.Generation(),
 		RegionFP:   abnormal.Fingerprint(),
-		ParamsHash: s.paramsHash,
 	}
 }
 

@@ -135,13 +135,10 @@ type Server struct {
 	timeout time.Duration // 0: no per-request deadline
 	diagLat *latencyRing  // recent diagnosis latencies, for Retry-After
 
-	// Cross-request diagnosis cache (nil: off). paramsHash digests the
-	// analyzer's output-relevant parameters once — they are fixed for
-	// the server's lifetime.
+	// Cross-request diagnosis cache (nil: off).
 	diagCache        *diagcache.Cache
 	diagCacheEntries int
 	diagCacheBytes   int64
-	paramsHash       uint64
 
 	jobs   *jobManager   // async batch jobs (always on)
 	jobTTL time.Duration // how long finished job results stay fetchable
@@ -315,7 +312,6 @@ func New(analyzer *dbsherlock.Analyzer, opts ...Option) (*Server, error) {
 	}
 	s.jobs = newJobManager(s.jobTTL, defaultMaxStoredJobs)
 	s.diagLat = newLatencyRing()
-	s.paramsHash = paramsDigest(analyzer.Params())
 	if s.diagCacheEntries > 0 {
 		// Constructed after the options so the cache's metric families
 		// land in the final registry (WithMetrics may have swapped it).
