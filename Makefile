@@ -7,9 +7,9 @@
 GO ?= go
 SOAK ?= 2s
 
-.PHONY: ci fmt-check vet perfbench-vet lint build test race alloc-gate hygiene cache-gate soak bench-smoke fuzz-smoke bench-parallel bench-obs bench-alloc bench-detect bench-lifecycle bench-store bench-serve bench-ingest
+.PHONY: ci fmt-check vet perfbench-vet lint build test race alloc-gate hygiene cache-gate model-gate soak bench-smoke fuzz-smoke bench-parallel bench-obs bench-alloc bench-detect bench-lifecycle bench-store bench-serve bench-ingest
 
-ci: fmt-check vet perfbench-vet lint build race alloc-gate hygiene cache-gate soak bench-smoke
+ci: fmt-check vet perfbench-vet lint build race alloc-gate hygiene cache-gate model-gate soak bench-smoke
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -75,6 +75,15 @@ hygiene:
 # `race`, but a broken cache invariant should fail with this name.
 cache-gate:
 	$(GO) test -run 'TestCoherenceInvariant|TestConcurrentAccess' ./internal/diagcache/
+
+# Model-write ordering: a learn merges, commits and only then installs,
+# under the one lock an import also holds, so the served causes never
+# diverge from the store. A race between model writes shows up in only
+# some runs, so the single `race` pass above can miss it; ten -race
+# repetitions of the learn/import/parallel battery make a regression
+# fail here, under this name.
+model-gate:
+	$(GO) test -race -count=10 -run 'TestServerParallelRequests$$|TestConcurrentLearnNeverDivergesFromStore|TestLearnSerializesWithImport' ./internal/server/
 
 # Ingest-plane soak: churns generations of instances through
 # ingest → stale → evict on a fake clock and asserts the process

@@ -62,8 +62,8 @@ func (r *Repository) Add(m *Model) error {
 }
 
 // Set stores m (cloned) as the entry for m.Cause, replacing any
-// existing model without merging. It is the hydration and rollback
-// primitive for store-backed banks: Add merges, Set overwrites.
+// existing model without merging. It is how store-backed banks hydrate
+// and install committed models: Add merges, Set overwrites.
 func (r *Repository) Set(m *Model) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -71,23 +71,6 @@ func (r *Repository) Set(m *Model) {
 		r.order = append(r.order, m.Cause)
 	}
 	r.models[m.Cause] = m.Clone()
-}
-
-// Remove deletes the model for a cause and reports whether it existed.
-func (r *Repository) Remove(cause string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.models[cause]; !ok {
-		return false
-	}
-	delete(r.models, cause)
-	for i, c := range r.order {
-		if c == cause {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	return true
 }
 
 // ReplaceAll swaps the entire contents for the given models (cloned,

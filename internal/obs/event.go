@@ -154,13 +154,13 @@ func (r *EventRing) Handler() http.Handler {
 	})
 }
 
-// EventLog is the wide-event successor of AccessLog: it injects an
-// *Event into the request context for handlers to annotate, fills in
-// the base fields when the handler returns, emits one structured log
-// line per request, and appends the event to ring (nil: no ring). A
-// request slower than slowThreshold (> 0) is marked Slow and logged at
-// WARN instead of INFO, so an operator tailing the log sees latency
-// outliers without grepping durations.
+// EventLog is the request log: it injects an *Event into the request
+// context for handlers to annotate, fills in the base fields when the
+// handler returns, emits one structured log line per request, and
+// appends the event to ring (nil: no ring). A request slower than
+// slowThreshold (> 0) is marked Slow and logged at WARN instead of
+// INFO, so an operator tailing the log sees latency outliers without
+// grepping durations.
 func EventLog(logger *slog.Logger, ring *EventRing, slowThreshold time.Duration, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ev := &Event{

@@ -81,27 +81,6 @@ func (sw *statusWriter) Flush() {
 	}
 }
 
-// AccessLog logs one structured line per request: method, path, status,
-// response bytes, duration, and request ID.
-func AccessLog(logger *slog.Logger, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		next.ServeHTTP(sw, r)
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
-		logger.Info("request",
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", sw.status,
-			"bytes", sw.bytes,
-			"duration_ms", float64(time.Since(start))/float64(time.Millisecond),
-			"request_id", RequestIDFrom(r.Context()),
-		)
-	})
-}
-
 // Recover converts handler panics into a 500 JSON error (when the
 // response has not started) and logs the panic with its stack.
 // http.ErrAbortHandler is re-raised: it is the sanctioned way to abort

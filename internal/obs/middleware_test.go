@@ -83,38 +83,6 @@ func TestRecoverRethrowsErrAbortHandler(t *testing.T) {
 	t.Fatal("ErrAbortHandler swallowed")
 }
 
-func TestAccessLogFields(t *testing.T) {
-	var logBuf bytes.Buffer
-	logger := slog.New(slog.NewJSONHandler(&logBuf, nil))
-	h := RequestID(AccessLog(logger, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusTeapot)
-		_, _ = w.Write([]byte("short and stout"))
-	})))
-	req := httptest.NewRequest("GET", "/v1/teapot", nil)
-	req.Header.Set(RequestIDHeader, "rid-1")
-	h.ServeHTTP(httptest.NewRecorder(), req)
-
-	var entry map[string]any
-	if err := json.Unmarshal(logBuf.Bytes(), &entry); err != nil {
-		t.Fatalf("access log is not one JSON line: %v (%q)", err, logBuf.String())
-	}
-	if entry["method"] != "GET" || entry["path"] != "/v1/teapot" {
-		t.Errorf("method/path = %v/%v", entry["method"], entry["path"])
-	}
-	if entry["status"] != float64(http.StatusTeapot) {
-		t.Errorf("status = %v, want 418", entry["status"])
-	}
-	if entry["bytes"] != float64(len("short and stout")) {
-		t.Errorf("bytes = %v", entry["bytes"])
-	}
-	if entry["request_id"] != "rid-1" {
-		t.Errorf("request_id = %v, want rid-1", entry["request_id"])
-	}
-	if _, ok := entry["duration_ms"]; !ok {
-		t.Error("duration_ms missing")
-	}
-}
-
 func TestInstrumentCountsAndObserves(t *testing.T) {
 	reg := NewRegistry()
 	reqs := reg.NewCounterFamily("reqs_total", "")

@@ -15,8 +15,8 @@
 //     target without importing a client library), plus scrape-time
 //     collectors (RegisterRuntimeMetrics) and the StoreMetrics adapter
 //     instrumenting the durable store's Observer hook.
-//   - Middleware: request-ID injection, panic recovery, structured
-//     access logging, per-endpoint request counters / latency
-//     histograms, and the wide-event request log (EventLog + EventRing
-//     behind GET /debug/events) for net/http handlers.
+//   - Middleware: request-ID injection, panic recovery, per-endpoint
+//     request counters / latency histograms, and the wide-event request
+//     log (EventLog + EventRing behind GET /debug/events, one structured
+//     line per request) for net/http handlers.
 package obs

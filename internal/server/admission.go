@@ -124,41 +124,61 @@ func (s *semaphore) stats() (inUse int64, queued int) {
 	return s.inUse, len(s.queue)
 }
 
-// gate wraps a compute-heavy handler with admission control: acquire a
-// slot (bounded wait), run, release. At saturation the request is shed
-// with 429 + Retry-After and the rejected counter increments; a client
-// that disconnects while queued frees its queue entry immediately. The
-// outcome is recorded on the request's wide event.
+// gate wraps a compute-heavy handler with admission control at a fixed
+// weight: admit, run, release.
 func (s *Server) gate(endpoint string, weight int64, next http.HandlerFunc) http.HandlerFunc {
 	if s.sem == nil {
 		return next
 	}
-	inflight := s.httpInflight.With("endpoint", endpoint)
-	rejected := s.httpRejected.With("endpoint", endpoint)
+	// Register the route's series now, so /metrics reports them at zero
+	// before the first request is admitted or shed.
+	s.httpInflight.With("endpoint", endpoint)
+	s.httpRejected.With("endpoint", endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
-		if err := s.sem.Acquire(r.Context(), weight); err != nil {
-			if errors.Is(err, errOverloaded) {
-				obs.EventFrom(r.Context()).SetAdmission("rejected")
-				rejected.Inc()
-				writeOverloaded(w, r, s.retryAfterHint(), err)
-				return
-			}
-			// The client went away (or its deadline expired) while queued;
-			// nobody is listening for a body.
-			obs.EventFrom(r.Context()).SetAdmission("canceled")
-			s.logger.Debug("request cancelled while queued",
-				"endpoint", endpoint,
-				"err", err,
-				"request_id", obs.RequestIDFrom(r.Context()))
+		release := s.admit(w, r, endpoint, weight)
+		if release == nil {
 			return
 		}
-		obs.EventFrom(r.Context()).SetAdmission("admitted")
-		inflight.Add(float64(weight))
-		defer func() {
+		defer release()
+		next(w, r)
+	}
+}
+
+// admit acquires weight admission slots for endpoint (bounded wait) and
+// returns their release func. At saturation it sheds the request with
+// 429 + Retry-After and increments the rejected counter; a client that
+// disconnects while queued frees its queue entry and gets no body. In
+// both cases admit returns nil. The outcome is recorded on the
+// request's wide event.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, weight int64) func() {
+	if s.sem == nil {
+		return func() {}
+	}
+	if err := s.sem.Acquire(r.Context(), weight); err != nil {
+		if errors.Is(err, errOverloaded) {
+			obs.EventFrom(r.Context()).SetAdmission("rejected")
+			s.httpRejected.With("endpoint", endpoint).Inc()
+			writeOverloaded(w, r, s.retryAfterHint(), err)
+			return nil
+		}
+		// The client went away (or its deadline expired) while queued;
+		// nobody is listening for a body.
+		obs.EventFrom(r.Context()).SetAdmission("canceled")
+		s.logger.Debug("request cancelled while queued",
+			"endpoint", endpoint,
+			"err", err,
+			"request_id", obs.RequestIDFrom(r.Context()))
+		return nil
+	}
+	obs.EventFrom(r.Context()).SetAdmission("admitted")
+	inflight := s.httpInflight.With("endpoint", endpoint)
+	inflight.Add(float64(weight))
+	var once sync.Once
+	return func() {
+		once.Do(func() {
 			inflight.Add(-float64(weight))
 			s.sem.Release(weight)
-		}()
-		next(w, r)
+		})
 	}
 }
 

@@ -7,8 +7,6 @@ import (
 	"net/http"
 	"runtime"
 	"sync"
-
-	"dbsherlock/internal/obs"
 )
 
 // DefaultMaxBatchItems caps how many explain items one POST
@@ -55,46 +53,7 @@ func (s *Server) batchWeight(items int) int64 {
 	return w
 }
 
-// admit acquires weight admission slots for endpoint, mirroring gate
-// but with a weight known only after the body is decoded. It returns a
-// non-nil release func on success; on failure it has already written
-// the 429 (or dropped the canceled request).
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, weight int64) func() {
-	if s.sem == nil {
-		return func() {}
-	}
-	if err := s.sem.Acquire(r.Context(), weight); err != nil {
-		if err == errOverloaded {
-			obs.EventFrom(r.Context()).SetAdmission("rejected")
-			s.httpRejected.With("endpoint", endpoint).Inc()
-			writeOverloaded(w, r, s.retryAfterHint(), err)
-			return nil
-		}
-		obs.EventFrom(r.Context()).SetAdmission("canceled")
-		s.logger.Debug("request cancelled while queued",
-			"endpoint", endpoint,
-			"err", err,
-			"request_id", obs.RequestIDFrom(r.Context()))
-		return nil
-	}
-	obs.EventFrom(r.Context()).SetAdmission("admitted")
-	inflight := s.httpInflight.With("endpoint", endpoint)
-	inflight.Add(float64(weight))
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			inflight.Add(-float64(weight))
-			s.sem.Release(weight)
-		})
-	}
-}
-
-func (s *Server) handleExplainBatch(w http.ResponseWriter, r *http.Request) {
-	tenant, err := s.tenantFrom(r)
-	if err != nil {
-		writeTenantError(w, r, err)
-		return
-	}
+func (s *Server) handleExplainBatch(w http.ResponseWriter, r *http.Request, tenant string) {
 	var req batchExplainRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxUpload)).Decode(&req); err != nil {
 		writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, err)
@@ -181,7 +140,7 @@ func (s *Server) runBatch(ctx context.Context, tenant string, items []explainReq
 				defer wg.Done()
 				slots <- struct{}{}
 				defer func() { <-slots }()
-				ictx, cancel := s.itemCtx(ctx)
+				ictx, cancel := s.computeCtx(ctx)
 				defer cancel()
 				resp, apiErr := s.explainOne(ictx, tenant, items[i])
 				if apiErr != nil {
@@ -219,14 +178,4 @@ func itemKey(it explainRequest) explainKey {
 		k.to, k.hasTo = *it.To, true
 	}
 	return k
-}
-
-// itemCtx derives one batch item's context: the per-request compute
-// deadline applies per item, matching what the same request would get
-// through POST /v1/explain.
-func (s *Server) itemCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if s.timeout > 0 {
-		return context.WithTimeout(ctx, s.timeout)
-	}
-	return ctx, func() {}
 }

@@ -212,8 +212,8 @@ func TestExplainCacheEvictionInvalidates(t *testing.T) {
 	}
 }
 
-// TestExplainRulesBypassesCache: rules:true diagnoses through a
-// per-request analyzer and must neither read nor populate the cache.
+// TestExplainRulesBypassesCache: rules:true diagnoses through the
+// server's rules analyzer and must neither read nor populate the cache.
 func TestExplainRulesBypassesCache(t *testing.T) {
 	ts, srv := newCachedServer(t)
 	id := uploadTrace(t, ts, dbsherlock.LockContention, 1)

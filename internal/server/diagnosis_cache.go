@@ -25,7 +25,8 @@ const DefaultDiagCacheEntries = 256
 // retained heap footprint (<= 0 means no byte budget). Least recently
 // used entries are evicted first; deleting or evicting a dataset drops
 // its entries immediately. rules:true requests bypass the cache — they
-// diagnose through a per-request analyzer.
+// diagnose through the server's rules analyzer, and the key does not
+// record which analyzer filled an entry.
 func WithDiagnosisCache(maxEntries int, maxBytes int64) Option {
 	return func(s *Server) {
 		if maxEntries <= 0 {

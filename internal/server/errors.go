@@ -46,9 +46,9 @@ const (
 	// job) context was canceled before the item could finish.
 	CodeCanceled ErrorCode = "canceled"
 	// CodeStoreUnavailable means the persistent store refused the write
-	// (failed log append or lost data directory). The request's change
-	// was rolled back rather than kept memory-only; retry once the
-	// store recovers.
+	// (failed log append or lost data directory). Nothing in memory
+	// changed — every write commits before it installs — so nothing is
+	// kept memory-only; retry once the store recovers.
 	CodeStoreUnavailable ErrorCode = "store_unavailable"
 	// CodeInternal is an unexpected server-side failure.
 	CodeInternal ErrorCode = "internal"

@@ -34,12 +34,7 @@ type ingestResponse struct {
 // arbitrarily long push is never materialized whole. Backpressure is
 // per instance: a push that would overflow the instance's queue budget
 // (or the registry's instance cap) is shed with 429 + Retry-After.
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	tenant, err := s.tenantFrom(r)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, CodeInvalidTenant, err)
-		return
-	}
+func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, tenant string) {
 	instance := r.PathValue("instance")
 	if err := ingest.ValidInstance(instance); err != nil {
 		writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, err)
@@ -112,12 +107,7 @@ type instancesResponse struct {
 // handleInstances lists the tenant's live instance streams with their
 // ingest state: rows accepted, window occupancy, queue depth, last
 // sample age, staleness, alert counts, and the last append error.
-func (s *Server) handleInstances(w http.ResponseWriter, r *http.Request) {
-	tenant, err := s.tenantFrom(r)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, CodeInvalidTenant, err)
-		return
-	}
+func (s *Server) handleInstances(w http.ResponseWriter, _ *http.Request, tenant string) {
 	list := s.ingest.List(tenant)
 	writeJSON(w, http.StatusOK, instancesResponse{Instances: list, Count: len(list)})
 }
@@ -128,12 +118,7 @@ func (s *Server) handleInstances(w http.ResponseWriter, r *http.Request) {
 // comment heartbeats keep the connection warm. Delivery is best-effort
 // (a slow consumer misses alerts rather than stalling ingestion);
 // GET /v1/instances remains the source of truth.
-func (s *Server) handleAlertStream(w http.ResponseWriter, r *http.Request) {
-	tenant, err := s.tenantFrom(r)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, CodeInvalidTenant, err)
-		return
-	}
+func (s *Server) handleAlertStream(w http.ResponseWriter, r *http.Request, tenant string) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, r, http.StatusInternalServerError, CodeInternal,

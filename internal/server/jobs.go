@@ -153,12 +153,7 @@ type jobResponse struct {
 	Results []batchItemResult `json:"results,omitempty"`
 }
 
-func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	tenant, err := s.tenantFrom(r)
-	if err != nil {
-		writeTenantError(w, r, err)
-		return
-	}
+func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request, tenant string) {
 	id := r.PathValue("id")
 	j, ok := s.jobs.get(tenant, id)
 	if !ok {

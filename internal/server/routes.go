@@ -17,12 +17,14 @@ type route struct {
 	// per-instance queue budget — carry 0 here and shed internally.
 	weight int64
 	// tenant marks routes whose behavior is scoped by the
-	// X-DBSherlock-Tenant header.
+	// X-DBSherlock-Tenant header. The route wrapper resolves the header
+	// once and hands the tenant to the handler (untenanted handlers get
+	// "" and ignore it).
 	tenant bool
 	// handler is the method-expression form of the endpoint handler, so
 	// the table can be a package-level constant-shaped value while the
 	// handlers stay ordinary Server methods.
-	handler func(*Server, http.ResponseWriter, *http.Request)
+	handler func(*Server, http.ResponseWriter, *http.Request, string)
 }
 
 // pattern is the net/http ServeMux pattern; it doubles as the endpoint
@@ -55,18 +57,26 @@ var routeTable = []route{
 }
 
 // registerRoutes mounts the whole table: each route is bound to its
-// Server, wrapped by the admission gate when weighted, and instrumented
-// under its pattern. The /v1/status endpoint inventory is materialized
-// here too (rather than read from routeTable at request time, which
-// would make the table's initializer cyclic through handleStatus).
-// Only the conditional pprof/debug mounts live outside the table — they
-// are not part of the API surface.
+// Server, resolves its tenant (400 invalid_tenant for an unusable
+// header), is wrapped by the admission gate when weighted, and is
+// instrumented under its pattern. The /v1/status endpoint inventory is
+// materialized here too (rather than read from routeTable at request
+// time, which would make the table's initializer cyclic through
+// handleStatus). Only the conditional pprof/debug mounts live outside
+// the table — they are not part of the API surface.
 func (s *Server) registerRoutes() {
 	s.endpoints = make([]endpointInfo, 0, len(routeTable))
 	for _, rt := range routeTable {
-		rt := rt
 		h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			rt.handler(s, w, r)
+			var tenant string
+			if rt.tenant {
+				var err error
+				if tenant, err = s.tenantFrom(r); err != nil {
+					writeError(w, r, http.StatusBadRequest, CodeInvalidTenant, err)
+					return
+				}
+			}
+			rt.handler(s, w, r, tenant)
 		})
 		if rt.weight > 0 {
 			h = s.gate(rt.pattern(), rt.weight, h)
@@ -83,7 +93,7 @@ func (s *Server) registerRoutes() {
 
 // handleMetrics serves the Prometheus exposition; a table row like any
 // other so scrape traffic shows up in the per-endpoint metrics too.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, _ string) {
 	s.registry.Handler().ServeHTTP(w, r)
 }
 

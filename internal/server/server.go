@@ -33,15 +33,16 @@
 // datasets and learned causal models live per tenant, so one daemon can
 // serve many users or databases and tenant A's models never influence
 // tenant B's ranking. With WithStore the namespaces are backed by a
-// persistent store (internal/store) and survive restarts; uploads,
-// learns, and model imports that the store refuses are rolled back and
+// persistent store (internal/store) and survive restarts. Every write
+// commits to the store before anything in memory changes, so an upload,
+// learn, or model import the store refuses leaves nothing behind and is
 // answered with 503 store_unavailable (or 413 payload_too_large when
-// the record exceeds the store's frame limit) instead of being kept
-// memory-only. Dataset uploads and model imports share the -max-upload
-// body cap.
+// the record exceeds the store's frame limit). The route table resolves
+// the tenant header once per request, before the handler runs. Dataset
+// uploads and model imports share the -max-upload body cap.
 //
 // Every handler is wrapped in the observability middleware chain
-// (request-ID injection, panic recovery, structured access logging,
+// (request-ID injection, panic recovery, the wide-event request log,
 // per-endpoint request counters and latency histograms — see
 // internal/obs). Errors use one envelope shape with stable codes:
 // {"error":{"code":"dataset_not_found","message":"...","request_id":"..."}}.
@@ -100,14 +101,20 @@ const eventRingSize = 256
 // model banks are internally synchronized, and the Analyzer itself is
 // safe for concurrent use, so overlapping requests — including
 // expensive /v1/explain calls — run in parallel instead of being
-// serialized behind one lock. Datasets are immutable once uploaded, so
-// handlers resolve them once and use them lock-free.
+// serialized behind one lock. Only model writes serialize (modelMu),
+// and only for their merge, commit and install. Datasets are immutable
+// once uploaded, so handlers resolve them once and use them lock-free.
 type Server struct {
 	analyzer *dbsherlock.Analyzer
 	store    store.Store
 	tenant   string // default tenant for requests without the header
 	mux      *http.ServeMux
 	handler  http.Handler
+
+	// rules is the analyzer behind rules:true explains: the shared
+	// analyzer's parameters plus the MySQL/Linux domain knowledge. It
+	// ranks each request's tenant bank through a WithModelBank view.
+	rules *dbsherlock.Analyzer
 
 	// mu guards banks; the banks themselves are concurrency-safe. The
 	// default tenant's bank is the analyzer's own, so single-tenant
@@ -116,10 +123,12 @@ type Server struct {
 	mu    sync.RWMutex
 	banks map[string]*dbsherlock.ModelBank
 
-	// causeMu guards causeLocks, the keyed mutexes that serialize the
-	// learn→persist→rollback sequence per (tenant, cause).
-	causeMu    sync.Mutex
-	causeLocks map[string]*sync.Mutex
+	// modelMu serializes every model write (learn and import, all
+	// tenants) from reading the bank to installing the result, so each
+	// write merges against the model the store last committed and a
+	// learn never interleaves with an import. Algorithm 1 runs before
+	// the lock is taken; commits already serialize on the store.
+	modelMu sync.Mutex
 
 	logger       *slog.Logger
 	registry     *obs.Registry
@@ -291,7 +300,6 @@ func New(analyzer *dbsherlock.Analyzer, opts ...Option) (*Server, error) {
 		analyzer:      analyzer,
 		tenant:        store.DefaultTenant,
 		banks:         make(map[string]*dbsherlock.ModelBank),
-		causeLocks:    make(map[string]*sync.Mutex),
 		mux:           http.NewServeMux(),
 		logger:        obs.DiscardLogger(),
 		registry:      obs.NewRegistry(),
@@ -311,6 +319,13 @@ func New(analyzer *dbsherlock.Analyzer, opts ...Option) (*Server, error) {
 		s.jobTTL = DefaultJobTTL
 	}
 	s.jobs = newJobManager(s.jobTTL, defaultMaxStoredJobs)
+	rules, err := dbsherlock.New(
+		dbsherlock.WithParams(analyzer.Params()),
+		dbsherlock.WithDomainKnowledge(dbsherlock.MySQLLinuxRules()))
+	if err != nil {
+		return nil, fmt.Errorf("server: building the rules analyzer: %w", err)
+	}
+	s.rules = rules
 	s.diagLat = newLatencyRing()
 	if s.diagCacheEntries > 0 {
 		// Constructed after the options so the cache's metric families
@@ -407,7 +422,7 @@ func (s *Server) hydrateBanks() error {
 }
 
 // tenantFrom resolves the request's tenant namespace and records it on
-// the request's wide event.
+// the request's wide event. Only the route wrapper calls it.
 func (s *Server) tenantFrom(r *http.Request) (string, error) {
 	t := r.Header.Get(TenantHeader)
 	if t == "" {
@@ -459,11 +474,6 @@ func (s *Server) analyzerFor(tenant string) *dbsherlock.Analyzer {
 	return s.analyzer.WithModelBank(s.bankFor(tenant))
 }
 
-// writeTenantError rejects a request with an unusable tenant header.
-func writeTenantError(w http.ResponseWriter, r *http.Request, err error) {
-	writeError(w, r, http.StatusBadRequest, CodeInvalidTenant, err)
-}
-
 // writeStoreError maps a persistent-store write failure: an unavailable
 // or closed store is a 503 the client should retry later, a record the
 // store refuses to frame is the client's payload being too large;
@@ -477,25 +487,6 @@ func writeStoreError(w http.ResponseWriter, r *http.Request, err error) {
 	default:
 		writeError(w, r, http.StatusInternalServerError, CodeInternal, err)
 	}
-}
-
-// lockCause serializes learn→persist→rollback per (tenant, cause): two
-// concurrent learns on the same cause could otherwise interleave so
-// that one's failed persist rolls the bank back to its stale pre-learn
-// snapshot, clobbering the other's already-persisted model and leaving
-// memory diverged from the durable store. Entries are never removed —
-// causes are few and long-lived.
-func (s *Server) lockCause(tenant, cause string) func() {
-	key := tenant + "\x00" + cause
-	s.causeMu.Lock()
-	mu, ok := s.causeLocks[key]
-	if !ok {
-		mu = new(sync.Mutex)
-		s.causeLocks[key] = mu
-	}
-	s.causeMu.Unlock()
-	mu.Lock()
-	return mu.Unlock
 }
 
 // handle registers a handler wrapped with the per-endpoint counter and
@@ -522,42 +513,21 @@ func (s *Server) Close() {
 // without going through HTTP.
 func (s *Server) IngestRegistry() *ingest.Registry { return s.ingest }
 
-// requestCtx derives the handler context: the request's own (so a
-// client disconnect cancels the work) plus the configured per-request
-// deadline, if any.
-func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
+// computeCtx derives the context of one unit of compute — a single
+// request, or one batch item — from ctx (so a client disconnect cancels
+// the work) plus the configured per-request deadline, if any.
+func (s *Server) computeCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	if s.timeout > 0 {
-		return context.WithTimeout(r.Context(), s.timeout)
+		return context.WithTimeout(ctx, s.timeout)
 	}
-	return r.Context(), func() {}
+	return ctx, func() {}
 }
 
-// writeComputeError maps an error from the diagnosis engine to the
-// envelope: an expired deadline becomes 503 deadline_exceeded, a client
-// that already went away gets nothing (there is nobody to read it), and
-// anything else is a caller mistake (bad region, empty dataset, ...).
-func writeComputeError(w http.ResponseWriter, r *http.Request, err error) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, r, http.StatusServiceUnavailable, CodeDeadlineExceeded,
-			errors.New("request deadline exceeded during diagnosis"))
-	case errors.Is(err, context.Canceled):
-		// Client disconnected mid-computation; drop the response.
-	default:
-		writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, err)
-	}
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request, _ string) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
-	tenant, err := s.tenantFrom(r)
-	if err != nil {
-		writeTenantError(w, r, err)
-		return
-	}
+func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request, tenant string) {
 	body := http.MaxBytesReader(w, r.Body, s.maxUpload)
 	defer body.Close()
 	ds, err := dbsherlock.ReadCSV(body)
@@ -615,12 +585,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, resp)
 }
 
-func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
-	tenant, err := s.tenantFrom(r)
-	if err != nil {
-		writeTenantError(w, r, err)
-		return
-	}
+func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request, tenant string) {
 	id := r.PathValue("id")
 	var ok bool
 	if err := timeCommit(r.Context(), func() (e error) {
@@ -645,12 +610,7 @@ type datasetInfo struct {
 	Attributes int    `json:"attributes"`
 }
 
-func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
-	tenant, err := s.tenantFrom(r)
-	if err != nil {
-		writeTenantError(w, r, err)
-		return
-	}
+func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request, tenant string) {
 	infos := s.store.Datasets(tenant)
 	out := make([]datasetInfo, 0, len(infos))
 	for _, info := range infos {
@@ -679,12 +639,7 @@ type rowRange struct {
 	To   int `json:"to"`   // exclusive
 }
 
-func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
-	tenant, err := s.tenantFrom(r)
-	if err != nil {
-		writeTenantError(w, r, err)
-		return
-	}
+func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request, tenant string) {
 	var req detectRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, err)
@@ -700,12 +655,12 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, CodeUnknownDetector, err)
 		return
 	}
-	ctx, cancel := s.requestCtx(r)
+	ctx, cancel := s.computeCtx(r.Context())
 	defer cancel()
 	region, ok, err := s.analyzer.DetectUsingContext(ctx, ds, det)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			writeComputeError(w, r, err)
+			computeAPIError(err).write(w, r)
 			return
 		}
 		writeError(w, r, http.StatusInternalServerError, CodeInternal, err)
@@ -770,17 +725,6 @@ type rankedCause struct {
 	Confidence float64 `json:"confidence"`
 }
 
-// rulesAnalyzer builds the per-request analyzer for the rules:true
-// explain path: domain knowledge installed, sharing no mutable state
-// with the shared analyzer, but inheriting its predicate-generation
-// parameters (theta, R, delta, workers) so a rules request is diagnosed
-// with the same tuning as a plain one.
-func (s *Server) rulesAnalyzer() (*dbsherlock.Analyzer, error) {
-	return dbsherlock.New(
-		dbsherlock.WithParams(s.analyzer.Params()),
-		dbsherlock.WithDomainKnowledge(dbsherlock.MySQLLinuxRules()))
-}
-
 // resolveRegion extracts the abnormal region from a request, running
 // detection if auto is set.
 func (s *Server) resolveRegion(ctx context.Context, ds *dbsherlock.Dataset, from, to *int, auto bool) (*dbsherlock.Region, error) {
@@ -800,18 +744,13 @@ func (s *Server) resolveRegion(ctx context.Context, ds *dbsherlock.Dataset, from
 	return dbsherlock.RegionFromRange(ds.Rows(), *from, *to), nil
 }
 
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	tenant, err := s.tenantFrom(r)
-	if err != nil {
-		writeTenantError(w, r, err)
-		return
-	}
+func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, tenant string) {
 	var req explainRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, err)
 		return
 	}
-	ctx, cancel := s.requestCtx(r)
+	ctx, cancel := s.computeCtx(r.Context())
 	defer cancel()
 	resp, apiErr := s.explainOne(ctx, tenant, req)
 	if apiErr != nil {
@@ -851,8 +790,10 @@ func (e *apiError) payload() *errorPayload {
 	return &errorPayload{Code: code, Message: e.err.Error()}
 }
 
-// computeAPIError maps a diagnosis-engine error like writeComputeError
-// does, as a value.
+// computeAPIError maps an error from the diagnosis engine to the
+// envelope: an expired deadline becomes 503 deadline_exceeded, a client
+// that already went away gets nothing (there is nobody to read it), and
+// anything else is a caller mistake (bad region, empty dataset, ...).
 func computeAPIError(err error) *apiError {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -885,13 +826,9 @@ func (s *Server) explainOne(ctx context.Context, tenant string, req explainReque
 
 	analyzer := s.analyzerFor(tenant)
 	if req.Rules {
-		withRules, err := s.rulesAnalyzer()
-		if err != nil {
-			return nil, &apiError{http.StatusInternalServerError, CodeInternal, err}
-		}
-		analyzer = withRules
+		analyzer = s.rules.WithModelBank(analyzer.ModelBank())
 	}
-	// rules:true diagnoses through a per-request analyzer whose domain
+	// rules:true diagnoses through the rules analyzer, whose domain
 	// knowledge differs from the shared one, so it bypasses the cache;
 	// everything else looks up (and refreshes) the incident's cached
 	// diagnosis state. A Put on every request — hit or miss — keeps the
@@ -919,19 +856,6 @@ func (s *Server) explainOne(ctx context.Context, tenant string, req explainReque
 		s.diagCache.Put(key, res.State)
 	}
 	expl := res.Explanation
-	if req.Rules {
-		// Causes still come from the tenant's model bank.
-		ranked, err := s.analyzerFor(tenant).RankAllContext(ctx, ds, region, nil)
-		if err == nil {
-			expl.Causes = nil
-			for _, c := range ranked {
-				if c.Confidence > 0.2 {
-					expl.Causes = append(expl.Causes, c)
-				}
-			}
-		}
-	}
-
 	resp := &explainResponse{Region: regionRanges(region), Trace: expl.Trace}
 	for _, p := range expl.Predicates {
 		resp.Predicates = append(resp.Predicates, p.String())
@@ -955,12 +879,7 @@ type learnRequest struct {
 	Remedy  string `json:"remedy,omitempty"`
 }
 
-func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
-	tenant, err := s.tenantFrom(r)
-	if err != nil {
-		writeTenantError(w, r, err)
-		return
-	}
+func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request, tenant string) {
 	var req learnRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, err)
@@ -980,58 +899,49 @@ func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, CodeInvalidRegion, err)
 		return
 	}
-	ctx, cancel := s.requestCtx(r)
+	ctx, cancel := s.computeCtx(r.Context())
 	defer cancel()
-	unlock := s.lockCause(tenant, req.Cause)
-	defer unlock()
-	bank := s.bankFor(tenant)
-	analyzer := s.analyzerFor(tenant)
-	// Snapshot the pre-learn model so a refused persist can be rolled
-	// back: a model the store will not hold must not keep ranking.
-	prev := bank.Model(req.Cause)
-	model, err := analyzer.LearnCauseContext(ctx, req.Cause, ds, region, nil)
+	// Algorithm 1 runs outside modelMu, into a scratch bank, so the
+	// model it returns holds this incident's predicates only.
+	learned, err := s.analyzer.WithModelBank(dbsherlock.NewModelBank()).
+		LearnCauseContext(ctx, req.Cause, ds, region, nil)
 	if err != nil {
-		writeComputeError(w, r, err)
-		return
-	}
-	if err := s.persistModel(r.Context(), tenant, bank, req.Cause, prev); err != nil {
-		writeStoreError(w, r, err)
+		computeAPIError(err).write(w, r)
 		return
 	}
 	if req.Remedy != "" {
-		if err := analyzer.RecordRemediation(req.Cause, req.Remedy); err != nil {
-			writeError(w, r, http.StatusInternalServerError, CodeInternal, err)
-			return
-		}
-		// The remediation changed the stored model; persist it too,
-		// rolling back to the remediation-free model if refused.
-		if err := s.persistModel(r.Context(), tenant, bank, req.Cause, model); err != nil {
-			writeStoreError(w, r, err)
-			return
-		}
+		learned.AddRemediation(req.Remedy)
+	}
+	model, err := s.commitLearned(r.Context(), tenant, learned)
+	if err != nil {
+		writeStoreError(w, r, err)
+		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"cause": model.Cause, "merged": model.Merged, "predicates": len(model.Predicates),
 	})
 }
 
-// persistModel writes the bank's current model for cause to the store.
-// If the store refuses, the bank is rolled back to prev (removed when
-// prev is nil) so memory never serves models that are not durable.
-func (s *Server) persistModel(ctx context.Context, tenant string, bank *dbsherlock.ModelBank, cause string, prev *dbsherlock.CausalModel) error {
-	m := bank.Model(cause)
-	if m == nil {
-		return fmt.Errorf("model %q disappeared before persist", cause)
-	}
-	if err := timeCommit(ctx, func() error { return s.store.PutModel(tenant, m) }); err != nil {
-		if prev != nil {
-			bank.Set(prev)
-		} else {
-			bank.Remove(cause)
+// commitLearned folds a learned model into the tenant's bank (Section
+// 6.2): merge with the current model, commit the result to the store,
+// and only then install it. A refused commit leaves the bank as it was,
+// so nothing is ever rolled back.
+func (s *Server) commitLearned(ctx context.Context, tenant string, learned *dbsherlock.CausalModel) (*dbsherlock.CausalModel, error) {
+	s.modelMu.Lock()
+	defer s.modelMu.Unlock()
+	bank := s.bankFor(tenant)
+	model := learned
+	if prev := bank.Model(learned.Cause); prev != nil {
+		var err error
+		if model, err = causal.Merge(prev, learned); err != nil {
+			return nil, err
 		}
-		return err
 	}
-	return nil
+	if err := timeCommit(ctx, func() error { return s.store.PutModel(tenant, model) }); err != nil {
+		return nil, err
+	}
+	bank.Set(model)
+	return model, nil
 }
 
 type causeInfo struct {
@@ -1041,12 +951,7 @@ type causeInfo struct {
 	Remediations []string `json:"remediations,omitempty"`
 }
 
-func (s *Server) handleCauses(w http.ResponseWriter, r *http.Request) {
-	tenant, err := s.tenantFrom(r)
-	if err != nil {
-		writeTenantError(w, r, err)
-		return
-	}
+func (s *Server) handleCauses(w http.ResponseWriter, r *http.Request, tenant string) {
 	bank := s.bankFor(tenant)
 	out := make([]causeInfo, 0)
 	for _, cause := range bank.Causes() {
@@ -1070,12 +975,7 @@ func (s *Server) handleCauses(w http.ResponseWriter, r *http.Request) {
 // truncation even when the status line already said 200.
 const exportErrorTrailer = "X-DBSherlock-Export-Error"
 
-func (s *Server) handleExportModels(w http.ResponseWriter, r *http.Request) {
-	tenant, err := s.tenantFrom(r)
-	if err != nil {
-		writeTenantError(w, r, err)
-		return
-	}
+func (s *Server) handleExportModels(w http.ResponseWriter, r *http.Request, tenant string) {
 	w.Header().Set("Trailer", exportErrorTrailer)
 	w.Header().Set("Content-Type", "application/json")
 	if err := s.bankFor(tenant).Save(w); err != nil {
@@ -1091,12 +991,7 @@ func (s *Server) handleExportModels(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleImportModels(w http.ResponseWriter, r *http.Request) {
-	tenant, err := s.tenantFrom(r)
-	if err != nil {
-		writeTenantError(w, r, err)
-		return
-	}
+func (s *Server) handleImportModels(w http.ResponseWriter, r *http.Request, tenant string) {
 	// The same body cap as dataset uploads: an import the durable store
 	// cannot frame must be refused here, not fsync'd and then discarded
 	// as a torn tail on the next replay.
@@ -1114,15 +1009,19 @@ func (s *Server) handleImportModels(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	models := repo.Models()
-	// Persist first, install second: an import the store refuses never
-	// reaches the live bank.
-	if err := timeCommit(r.Context(), func() error {
-		return s.store.ReplaceModels(tenant, models)
-	}); err != nil {
+	// Commit first, install second, under the lock every model write
+	// holds: an import the store refuses never reaches the live bank, and
+	// no learn lands between the commit and the install.
+	bank := s.bankFor(tenant)
+	s.modelMu.Lock()
+	err = timeCommit(r.Context(), func() error { return s.store.ReplaceModels(tenant, models) })
+	if err == nil {
+		bank.ReplaceAll(models)
+	}
+	s.modelMu.Unlock()
+	if err != nil {
 		writeStoreError(w, r, err)
 		return
 	}
-	bank := s.bankFor(tenant)
-	bank.ReplaceAll(models)
 	writeJSON(w, http.StatusOK, map[string]any{"causes": len(bank.Causes())})
 }

@@ -210,15 +210,12 @@ func TestPanicRecoveryReturns500JSON(t *testing.T) {
 
 // TestRulesAnalyzerInheritsParams is the regression test for the
 // rules:true explain path silently dropping the shared analyzer's
-// configured theta and workers.
+// configured theta and workers: the rules analyzer New builds must
+// carry them.
 func TestRulesAnalyzerInheritsParams(t *testing.T) {
 	parent := dbsherlock.MustNew(dbsherlock.WithTheta(0.07), dbsherlock.WithWorkers(3))
 	s := MustNew(parent)
-	ra, err := s.rulesAnalyzer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := ra.Params(), parent.Params()
+	got, want := s.rules.Params(), parent.Params()
 	if got.Theta != want.Theta {
 		t.Errorf("rules analyzer theta = %v, want %v", got.Theta, want.Theta)
 	}

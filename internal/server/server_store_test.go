@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"dbsherlock"
 	"dbsherlock/internal/store"
@@ -239,7 +240,8 @@ func TestLearnStoreFailureRollsBackModel(t *testing.T) {
 	fs.failWrites(true)
 	resp := learnStep(t, ts, "", id, "doomed cause")
 	wantEnvelope(t, resp, http.StatusServiceUnavailable, CodeStoreUnavailable)
-	// The rollback must be visible: the unpersisted model cannot rank.
+	// A learn installs only after its commit, so the refused model never
+	// reaches the bank and cannot rank.
 	if got := causesOf(t, ts, ""); len(got) != 0 {
 		t.Fatalf("unpersisted model still listed: %v", got)
 	}
@@ -404,10 +406,10 @@ func (f *flakyStore) PutModel(tenant string, m *dbsherlock.CausalModel) error {
 }
 
 func TestConcurrentLearnNeverDivergesFromStore(t *testing.T) {
-	// Concurrent learns on one cause against a flapping store: without
-	// the per-(tenant, cause) serialization, a failed persist's rollback
-	// can restore a stale pre-learn snapshot over another learn's
-	// already-persisted model, leaving the bank diverged from disk.
+	// Concurrent learns on one cause against a flapping store: every
+	// learn merges, commits and installs under the server's model lock,
+	// and installs only what the store accepted, so the bank ends equal
+	// to the stored model whichever commits fail.
 	fs := &flakyStore{Store: store.NewMemory()}
 	srv := MustNew(dbsherlock.MustNew(dbsherlock.WithTheta(0.05)), WithStore(fs))
 	ts := httptest.NewServer(srv)
@@ -443,5 +445,84 @@ func TestConcurrentLearnNeverDivergesFromStore(t *testing.T) {
 	case bankModel.Merged != storeModel.Merged:
 		t.Fatalf("bank merged = %d, store merged = %d: memory diverged from disk",
 			bankModel.Merged, storeModel.Merged)
+	}
+}
+
+// holdingStore holds every PutModel until a ReplaceModels has run or
+// 300 ms have passed, widening the window in which a learn's commit and
+// a model import could interleave. held is closed once a PutModel is
+// being held.
+type holdingStore struct {
+	store.Store
+	held, replaced         chan struct{}
+	heldOnce, replacedOnce sync.Once
+}
+
+func (h *holdingStore) PutModel(tenant string, m *dbsherlock.CausalModel) error {
+	h.heldOnce.Do(func() { close(h.held) })
+	select {
+	case <-h.replaced:
+	case <-time.After(300 * time.Millisecond):
+	}
+	return h.Store.PutModel(tenant, m)
+}
+
+func (h *holdingStore) ReplaceModels(tenant string, models []*dbsherlock.CausalModel) error {
+	err := h.Store.ReplaceModels(tenant, models)
+	h.replacedOnce.Do(func() { close(h.replaced) })
+	return err
+}
+
+// TestLearnSerializesWithImport pins that a learn and a model import
+// never interleave: an import sent while a learn's commit is in flight
+// lands wholly before or wholly after it, so the served causes always
+// equal the stored ones. Were the import to run between the learn's
+// commit and its install, the learn would answer 200 and be durable
+// while GET /v1/causes no longer listed it.
+func TestLearnSerializesWithImport(t *testing.T) {
+	hs := &holdingStore{Store: store.NewMemory(),
+		held: make(chan struct{}), replaced: make(chan struct{})}
+	srv := MustNew(dbsherlock.MustNew(dbsherlock.WithTheta(0.05)), WithStore(hs))
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	id := uploadStep(t, ts, "")
+
+	bank := dbsherlock.NewModelBank()
+	bank.Set(dbsherlock.NewCausalModel("imported cause", nil))
+	var imported bytes.Buffer
+	if err := bank.Save(&imported); err != nil {
+		t.Fatal(err)
+	}
+
+	learnStatus := make(chan int, 1)
+	go func() {
+		body := fmt.Sprintf(`{"dataset":%q,"from":40,"to":60,"cause":"racing cause"}`, id)
+		resp, err := http.Post(ts.URL+"/v1/learn", "application/json", bytes.NewBufferString(body))
+		if err != nil {
+			t.Error(err)
+			learnStatus <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		learnStatus <- resp.StatusCode
+	}()
+	select {
+	case <-hs.held:
+	case code := <-learnStatus:
+		t.Fatalf("learn answered %d before its commit was held", code)
+	}
+	resp := doTenant(t, http.MethodPut, ts.URL+"/v1/models", "", "application/json", &imported)
+	decode[map[string]any](t, resp, http.StatusOK)
+	if code := <-learnStatus; code != http.StatusOK {
+		t.Fatalf("learn status = %d", code)
+	}
+
+	var stored []string
+	for _, m := range hs.Store.Models(store.DefaultTenant) {
+		stored = append(stored, m.Cause)
+	}
+	if served := causesOf(t, ts, ""); fmt.Sprint(served) != fmt.Sprint(stored) {
+		t.Fatalf("served causes %v, stored causes %v: memory diverged from the store", served, stored)
 	}
 }

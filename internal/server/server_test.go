@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -204,6 +205,41 @@ func TestExplainWithRules(t *testing.T) {
 	for _, pr := range expl.Pruned {
 		if pr.Kappa < 0.15 {
 			t.Errorf("pruned with kappa %.2f below threshold", pr.Kappa)
+		}
+	}
+}
+
+// TestExplainWithRulesRanksTenantCauses: a rules:true explain ranks the
+// request tenant's own models exactly as a plain explain of the same
+// region does — domain knowledge prunes predicates, never causes — and
+// a tenant without models gets no causes either way.
+func TestExplainWithRulesRanksTenantCauses(t *testing.T) {
+	ts, _ := newTestServer(t)
+	learned := map[string]string{"": "Lock Contention", "alice": "alice contention"}
+	ids := map[string]string{}
+	for tenant, cause := range learned {
+		ids[tenant] = uploadTraceTenant(t, ts, tenant, 4)
+		decode[map[string]any](t, postJSONTenant(t, ts.URL+"/v1/learn", tenant, map[string]any{
+			"dataset": ids[tenant], "from": 120, "to": 180, "cause": cause,
+		}), http.StatusOK)
+	}
+	ids["bob"] = uploadTraceTenant(t, ts, "bob", 4)
+
+	for tenant, id := range ids {
+		from, to := 120, 180
+		plain := decode[explainResponse](t, postJSONTenant(t, ts.URL+"/v1/explain", tenant,
+			explainRequest{Dataset: id, From: &from, To: &to}), http.StatusOK)
+		rules := decode[explainResponse](t, postJSONTenant(t, ts.URL+"/v1/explain", tenant,
+			explainRequest{Dataset: id, From: &from, To: &to, Rules: true}), http.StatusOK)
+		if !reflect.DeepEqual(rules.Causes, plain.Causes) {
+			t.Errorf("tenant %q: rules causes %+v, plain causes %+v", tenant, rules.Causes, plain.Causes)
+		}
+		cause, ok := learned[tenant]
+		switch {
+		case !ok && len(rules.Causes) != 0:
+			t.Errorf("tenant %q has no models but ranked %+v", tenant, rules.Causes)
+		case ok && (len(rules.Causes) != 1 || rules.Causes[0].Cause != cause):
+			t.Errorf("tenant %q: rules causes %+v, want only %q", tenant, rules.Causes, cause)
 		}
 	}
 }

@@ -60,7 +60,7 @@ func (s *Server) storeHealth() (store.Health, bool) {
 // /healthz — a latched store is unready (stop routing writes here) but
 // very much alive (reads still serve), and conflating the two gets the
 // process killed exactly when its logs matter most.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request, _ string) {
 	reasons := []string{}
 	if s.draining.Load() {
 		reasons = append(reasons, "draining")
@@ -131,7 +131,7 @@ type jobsStatus struct {
 // occupancy, in one JSON document. Everything here is also derivable
 // from /metrics plus the binary, but a single curl beats a PromQL
 // session when a box is misbehaving.
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request, _ string) {
 	health, _ := s.storeHealth()
 	resp := statusResponse{
 		Build:         s.build,
