@@ -2,13 +2,14 @@
 // algorithm of Ester et al. [25], which DBSherlock's automatic anomaly
 // detection (paper Section 7) uses to separate anomalous time points
 // from the bulk of normal behaviour. Only what the paper needs is
-// provided: Euclidean distance, the k-dist list for choosing epsilon,
-// and the clustering itself.
+// provided: Euclidean distance and one clustering pass that computes
+// the k-dist list, chooses epsilon from it and clusters.
 package dbscan
 
 import (
 	"math"
 	"sort"
+	"sync"
 )
 
 // Noise is the cluster id assigned to points in no cluster.
@@ -31,54 +32,202 @@ func Distance(a, b Point) float64 {
 	return math.Sqrt(sum)
 }
 
-// KDist returns every point's distance to its k-th nearest neighbour
-// (excluding itself), sorted ascending. The DBSCAN paper suggests
-// inspecting this list to choose epsilon; DBSherlock uses
-// eps = max(KDist)/4 with k = minPts.
+// matrixCap is the largest point count for which a pass keeps the full
+// n×n distance matrix: 1024² float64s are 8 MiB, a 600-row detection
+// window 2.9 MB. Above it the pass reads distances through the grid or
+// computes them a row at a time.
+const matrixCap = 1024
+
+// KDistCluster runs one clustering pass of the Section 7 detector over
+// points. It writes the k-dist list with k = minPts into lk (grown as
+// needed): every point's distance to its minPts-th nearest other point
+// (the farthest when fewer exist, 0 when alone), sorted ascending. It
+// then asks epsFrom for epsilon given that list and, when epsFrom
+// accepts, runs DBSCAN at that radius, writing one label per point into
+// labels (grown as needed): 0..n-1 for cluster members, Noise for noise.
+// A point is a core point if at least minPts points (itself included)
+// lie within eps. clustered reports whether the clustering ran; labels
+// is returned untouched when it did not. With no points, or minPts <= 0,
+// the k-dist list is nil.
 //
-// KDist is the naive O(n²) reference; KDistIndexed computes the same
-// list through the uniform-grid index and is what the streaming
-// detector calls every tick.
-func KDist(points []Point, k int) []float64 {
-	if len(points) == 0 || k <= 0 {
-		return nil
+// Up to matrixCap points, whatever the dimensionality, both stages read
+// one pooled n×n matrix in which each pairwise distance is computed
+// once. Above it each stage uses the uniform-grid index when it applies
+// and computes rows on demand otherwise. The output is byte-identical
+// to the naive O(n²) k-dist and DBSCAN on every path, which golden and
+// fuzz tests pin.
+func KDistCluster(lk []float64, labels []int, points []Point, minPts int,
+	epsFrom func(lk []float64) (eps float64, ok bool)) (_ []float64, _ []int, clustered bool) {
+	sc := getScratch(points)
+	defer putScratch(sc)
+	if len(points) <= matrixCap {
+		sc.fillMatrix()
 	}
-	out := make([]float64, 0, len(points))
-	dists := make([]float64, 0, len(points)-1)
-	for i := range points {
-		dists = dists[:0]
-		for j := range points {
-			if i != j {
-				dists = append(dists, Distance(points[i], points[j]))
+	lk = sc.kdist(lk, minPts)
+	eps, ok := epsFrom(lk)
+	if !ok {
+		return lk, labels, false
+	}
+	return lk, sc.cluster(labels, eps, minPts), true
+}
+
+// scratch holds one pass's point set and reusable buffers. It is
+// recycled through scratchPool, so a pass on a warm pool allocates
+// nothing and a detector holds no matrix between ticks.
+type scratch struct {
+	points []Point
+	mat    []float64 // n×n pairwise distances, row-major; nil when rows are computed on demand
+	matBuf []float64 // backing store of mat, kept across passes
+
+	row   []float64 // the last row computed on demand
+	best  []float64 // k smallest distances of a row, ascending
+	dists []float64 // a NaN row, sorted whole
+	nbr   []int32
+	seeds []int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch(points []Point) *scratch {
+	sc := scratchPool.Get().(*scratch)
+	sc.points = points
+	return sc
+}
+
+func putScratch(sc *scratch) {
+	sc.points, sc.mat = nil, nil
+	scratchPool.Put(sc)
+}
+
+// fillMatrix computes every pairwise distance once into sc.mat. Each
+// pair is summed in coordinate order and square-rooted, as Distance
+// does, four pairs per inner loop. (a−b)² and (b−a)² are the same
+// number, so one sum serves both mat[i][j] and mat[j][i], and every
+// entry is bitwise Distance(row point, column point). NaN entries are
+// then recomputed with Distance in each direction, since which of two
+// NaNs an addition keeps depends on operand order.
+func (sc *scratch) fillMatrix() {
+	points := sc.points
+	n := len(points)
+	if n == 0 {
+		return
+	}
+	d := len(points[0])
+	for _, q := range points {
+		if len(q) != d {
+			panic("dbscan: dimension mismatch")
+		}
+	}
+	if cap(sc.matBuf) < n*n {
+		sc.matBuf = make([]float64, n*n)
+	}
+	m := sc.matBuf[:n*n]
+	nan := false
+	for i, p := range points {
+		m[i*n+i] = Distance(p, p)
+		j := i + 1
+		for ; j+4 <= n; j += 4 {
+			q0, q1, q2, q3 := points[j][:d], points[j+1][:d], points[j+2][:d], points[j+3][:d]
+			var s0, s1, s2, s3 float64
+			for c, v := range p {
+				d0 := v - q0[c]
+				d1 := v - q1[c]
+				d2 := v - q2[c]
+				d3 := v - q3[c]
+				s0 += d0 * d0
+				s1 += d1 * d1
+				s2 += d2 * d2
+				s3 += d3 * d3
+			}
+			s0, s1, s2, s3 = math.Sqrt(s0), math.Sqrt(s1), math.Sqrt(s2), math.Sqrt(s3)
+			m[i*n+j], m[j*n+i] = s0, s0
+			m[i*n+j+1], m[(j+1)*n+i] = s1, s1
+			m[i*n+j+2], m[(j+2)*n+i] = s2, s2
+			m[i*n+j+3], m[(j+3)*n+i] = s3, s3
+			nan = nan || s0 != s0 || s1 != s1 || s2 != s2 || s3 != s3
+		}
+		for ; j < n; j++ {
+			s := Distance(p, points[j])
+			m[i*n+j], m[j*n+i] = s, s
+			nan = nan || s != s
+		}
+	}
+	if nan {
+		for i, p := range points {
+			for j, q := range points {
+				if v := m[i*n+j]; v != v {
+					m[i*n+j] = Distance(p, q)
+				}
 			}
 		}
-		if len(dists) == 0 {
-			out = append(out, 0)
+	}
+	sc.mat = m
+}
+
+// rowOf returns the distances from points[i] to every point in index
+// order, entry i being points[i]'s distance to itself (0, or NaN for a
+// non-finite coordinate). It reads the matrix when the pass has one and
+// otherwise computes the row into scratch, valid until the next call.
+func (sc *scratch) rowOf(i int) []float64 {
+	n := len(sc.points)
+	if sc.mat != nil {
+		return sc.mat[i*n : (i+1)*n]
+	}
+	if cap(sc.row) < n {
+		sc.row = make([]float64, n)
+	}
+	row := sc.row[:n]
+	p := sc.points[i]
+	for j, q := range sc.points {
+		row[j] = Distance(p, q)
+	}
+	return row
+}
+
+// kth returns points[i]'s distance to its k-th nearest other point (the
+// farthest when fewer than k others exist, 0 when alone). The k
+// smallest entries of its row are kept in an insertion buffer. A row
+// holding a NaN is sorted whole instead, because sort.Float64s orders
+// NaN first and the naive k-dist reads its answer from that order.
+func (sc *scratch) kth(i, k int) float64 {
+	if len(sc.points) == 1 {
+		return 0
+	}
+	row := sc.rowOf(i)
+	best := sc.best[:0]
+	for j, d := range row {
+		if j == i {
 			continue
 		}
-		sort.Float64s(dists)
-		idx := k - 1
-		if idx >= len(dists) {
-			idx = len(dists) - 1
+		if d != d {
+			return sc.kthSorted(row, i, k)
 		}
-		out = append(out, dists[idx])
+		if len(best) < k || d < best[k-1] {
+			best = insertBest(best, d, k)
+		}
 	}
-	sort.Float64s(out)
-	return out
+	sc.best = best
+	return best[len(best)-1]
 }
 
-// KDistIndexed is KDist through the uniform-grid spatial index:
-// identical output (pinned by golden tests), ~O(n) expected work
-// instead of O(n² log n). Degenerate geometries — high dimensionality,
-// non-finite coordinates, all-identical points — fall back to exact
-// slower paths, so the result is always byte-identical to KDist.
-func KDistIndexed(points []Point, k int) []float64 {
-	return KDistInto(nil, points, k)
+// kthSorted is kth by sorting the whole row, NaN entries included.
+func (sc *scratch) kthSorted(row []float64, i, k int) float64 {
+	dists := sc.dists[:0]
+	for j, d := range row {
+		if j != i {
+			dists = append(dists, d)
+		}
+	}
+	sc.dists = dists
+	sort.Float64s(dists)
+	return dists[min(k, len(dists))-1]
 }
 
-// KDistInto is KDistIndexed writing into dst (grown as needed), so a
-// caller running detection every tick can reuse one buffer.
-func KDistInto(dst []float64, points []Point, k int) []float64 {
+// kdist fills dst (grown as needed) with the sorted k-dist list: from
+// the matrix when the pass has one, otherwise through the grid index
+// when it applies and row by row when it does not.
+func (sc *scratch) kdist(dst []float64, k int) []float64 {
+	points := sc.points
 	if len(points) == 0 || k <= 0 {
 		return nil
 	}
@@ -86,77 +235,38 @@ func KDistInto(dst []float64, points []Point, k int) []float64 {
 		dst = make([]float64, len(points))
 	}
 	dst = dst[:len(points)]
-	sc := clusterPool.Get().(*clusterScratch)
-	defer clusterPool.Put(sc)
-	if !gridUsable(len(points), len(points[0])) {
-		return kdistAllNaive(dst, points, k, &sc.kd)
-	}
-	cell, ok := kdCell(points, k)
-	if !ok {
-		if allIdentical(points) {
-			// Every pairwise distance is zero, so every k-dist is zero.
-			for i := range dst {
-				dst[i] = 0
+	if sc.mat == nil && gridUsable(len(points), len(points[0])) {
+		if cell, ok := kdCell(points, k); ok {
+			g := getGrid()
+			defer putGrid(g)
+			if g.build(points, cell) {
+				for i := range points {
+					dst[i] = g.kdist(sc, i, k)
+				}
+				sort.Float64s(dst)
+				return dst
 			}
+		} else if allIdentical(points) {
+			// Every pairwise distance is zero, so every k-dist is zero.
+			clear(dst)
 			return dst
 		}
-		return kdistAllNaive(dst, points, k, &sc.kd)
-	}
-	g := getGrid()
-	defer putGrid(g)
-	if !g.build(points, cell) {
-		return kdistAllNaive(dst, points, k, &sc.kd)
 	}
 	for i := range points {
-		dst[i] = g.kdist(points, i, k, &sc.kd)
+		dst[i] = sc.kth(i, k)
 	}
 	sort.Float64s(dst)
 	return dst
 }
 
-// kdistAllNaive fills dst with the naive O(n²) k-dist list.
-func kdistAllNaive(dst []float64, points []Point, k int, sc *kdScratch) []float64 {
-	for i := range points {
-		dists := sc.dists[:0]
-		for j := range points {
-			if i != j {
-				dists = append(dists, Distance(points[i], points[j]))
-			}
-		}
-		sc.dists = dists
-		if len(dists) == 0 {
-			dst[i] = 0
-			continue
-		}
-		sort.Float64s(dists)
-		idx := k - 1
-		if idx >= len(dists) {
-			idx = len(dists) - 1
-		}
-		dst[i] = dists[idx]
-	}
-	sort.Float64s(dst)
-	return dst
-}
-
-// Cluster runs DBSCAN and returns a cluster id per point: 0..n-1 for
-// cluster members, Noise (-1) for noise points. A point is a core point
-// if at least minPts points (including itself) lie within eps.
-//
-// Neighbour queries go through a uniform-grid index with cell size eps
-// when the point set supports it (low dimensionality, finite
-// coordinates, enough points to amortize the build); otherwise the
-// naive O(n²) scan is used. Both paths produce identical labels —
-// the grid returns neighbour lists in the same ascending order the
-// naive scan does, and golden + fuzz tests pin the equivalence.
-func Cluster(points []Point, eps float64, minPts int) []int {
-	return ClusterInto(nil, points, eps, minPts)
-}
-
-// ClusterInto is Cluster writing labels into dst (grown as needed), so
-// a caller running detection every tick can reuse one buffer.
-func ClusterInto(dst []int, points []Point, eps float64, minPts int) []int {
+// cluster runs DBSCAN into dst (grown as needed). Neighbour lists come
+// from matrix rows when the pass has a matrix, otherwise from the grid
+// with cell size eps when it applies and from computed rows when it
+// does not. Every source lists neighbours in ascending index order, as
+// the naive scan does, so cluster expansion and labels are identical.
+func (sc *scratch) cluster(dst []int, eps float64, minPts int) []int {
 	const unvisited = -2
+	points := sc.points
 	if cap(dst) < len(points) || dst == nil {
 		dst = make([]int, len(points))
 	}
@@ -168,11 +278,8 @@ func ClusterInto(dst []int, points []Point, eps float64, minPts int) []int {
 		return labels
 	}
 
-	sc := clusterPool.Get().(*clusterScratch)
-	defer clusterPool.Put(sc)
-
 	var g *grid
-	if gridUsable(len(points), len(points[0])) {
+	if sc.mat == nil && gridUsable(len(points), len(points[0])) {
 		cg := getGrid()
 		if cg.build(points, eps) {
 			cg.buildOffsets()
@@ -181,13 +288,13 @@ func ClusterInto(dst []int, points []Point, eps float64, minPts int) []int {
 		defer putGrid(cg)
 	}
 	// neighbours appends the indices within eps of point i (including i)
-	// in ascending order, identically on both paths.
+	// in ascending order, identically on every path.
 	neighbours := func(i int, out []int32) []int32 {
 		if g != nil {
 			return g.neighbours(points, i, eps, out)
 		}
-		for j := range points {
-			if Distance(points[i], points[j]) <= eps {
+		for j, d := range sc.rowOf(i) {
+			if d <= eps {
 				out = append(out, int32(j))
 			}
 		}
@@ -232,16 +339,4 @@ func ClusterInto(dst []int, points []Point, eps float64, minPts int) []int {
 		}
 	}
 	return labels
-}
-
-// Sizes returns the number of points in each cluster id (noise
-// excluded).
-func Sizes(labels []int) map[int]int {
-	out := make(map[int]int)
-	for _, l := range labels {
-		if l != Noise {
-			out[l]++
-		}
-	}
-	return out
 }

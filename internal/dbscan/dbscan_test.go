@@ -172,3 +172,15 @@ func TestClusterOrderInvarianceProperty(t *testing.T) {
 		}
 	}
 }
+
+// Sizes returns the number of points in each cluster id (noise
+// excluded).
+func Sizes(labels []int) map[int]int {
+	out := make(map[int]int)
+	for _, l := range labels {
+		if l != Noise {
+			out[l]++
+		}
+	}
+	return out
+}

@@ -9,14 +9,74 @@ import (
 	"testing"
 )
 
-// This file carries the golden contract of the grid-indexed fast path:
-// Cluster/ClusterInto and KDistIndexed/KDistInto must be byte-identical
-// to the naive O(n²) implementations. refCluster below is a verbatim
-// copy of the pre-grid Cluster; refKDist delegates to the exported
-// KDist, which deliberately remains the naive reference. The tests
-// drive both over randomized and adversarial point sets on both sides
-// of every fallback boundary (dimensionality cutoff, small-n cutoff,
-// non-finite coordinates, degenerate eps) and require exact equality.
+// This file carries the golden contract of the clustering pass: every
+// path must be byte-identical to the naive O(n²) implementations.
+// refCluster below is a verbatim copy of the pre-grid Cluster and KDist
+// is the naive k-dist list, both reference code. Cluster/ClusterInto
+// and KDistIndexed/KDistInto run the pass's stages without the distance
+// matrix, the paths a pass takes above matrixCap points: the grid where
+// it applies and computed rows elsewhere. The tests drive them over
+// randomized and adversarial point sets on both sides of every fallback
+// boundary (dimensionality cutoff, small-n cutoff, non-finite
+// coordinates, degenerate eps) and require exact equality;
+// kdistcluster_test.go does the same for KDistCluster itself.
+
+// Cluster runs DBSCAN through the grid or computed rows, never the
+// distance matrix.
+func Cluster(points []Point, eps float64, minPts int) []int {
+	return ClusterInto(nil, points, eps, minPts)
+}
+
+// ClusterInto is Cluster writing labels into dst (grown as needed).
+func ClusterInto(dst []int, points []Point, eps float64, minPts int) []int {
+	sc := getScratch(points)
+	defer putScratch(sc)
+	return sc.cluster(dst, eps, minPts)
+}
+
+// KDistIndexed is the k-dist list through the grid or computed rows,
+// never the distance matrix.
+func KDistIndexed(points []Point, k int) []float64 {
+	return KDistInto(nil, points, k)
+}
+
+// KDistInto is KDistIndexed writing into dst (grown as needed).
+func KDistInto(dst []float64, points []Point, k int) []float64 {
+	sc := getScratch(points)
+	defer putScratch(sc)
+	return sc.kdist(dst, k)
+}
+
+// KDist returns every point's distance to its k-th nearest neighbour
+// (excluding itself), sorted ascending: the naive O(n² log n)
+// reference, verbatim from before the clustering pass.
+func KDist(points []Point, k int) []float64 {
+	if len(points) == 0 || k <= 0 {
+		return nil
+	}
+	out := make([]float64, 0, len(points))
+	dists := make([]float64, 0, len(points)-1)
+	for i := range points {
+		dists = dists[:0]
+		for j := range points {
+			if i != j {
+				dists = append(dists, Distance(points[i], points[j]))
+			}
+		}
+		if len(dists) == 0 {
+			out = append(out, 0)
+			continue
+		}
+		sort.Float64s(dists)
+		idx := k - 1
+		if idx >= len(dists) {
+			idx = len(dists) - 1
+		}
+		out = append(out, dists[idx])
+	}
+	sort.Float64s(out)
+	return out
+}
 
 // refCluster is the seed DBSCAN, verbatim.
 func refCluster(points []Point, eps float64, minPts int) []int {
@@ -186,13 +246,17 @@ func float64sIdentical(a, b []float64) bool {
 	return true
 }
 
-func TestGridGoldenAdversarial(t *testing.T) {
-	cases := []struct {
-		name   string
-		pts    []Point
-		eps    float64
-		minPts int
-	}{
+// adversarialCase is one degenerate input that every clustering path
+// must handle exactly as the naive reference does.
+type adversarialCase struct {
+	name   string
+	pts    []Point
+	eps    float64
+	minPts int
+}
+
+func adversarialCases() []adversarialCase {
+	return []adversarialCase{
 		{"empty", nil, 1, 3},
 		{"single", []Point{{1, 2}}, 1, 3},
 		{"identical", repeatPoint(Point{3.5, -1}, 100), 0.5, 3},
@@ -209,7 +273,10 @@ func TestGridGoldenAdversarial(t *testing.T) {
 		{"minpts-over-n", genPoints(rand.New(rand.NewSource(9)), 40, 2), 0.4, 50},
 		{"zero-dim", make([]Point, 50), 0.5, 3},
 	}
-	for _, tc := range cases {
+}
+
+func TestGridGoldenAdversarial(t *testing.T) {
+	for _, tc := range adversarialCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			want := refCluster(tc.pts, tc.eps, tc.minPts)
 			got := Cluster(tc.pts, tc.eps, tc.minPts)

@@ -11,17 +11,17 @@ import (
 // query with radius == cell then only has to inspect the 3^d cells
 // adjacent to the query point's cell, and a k-nearest-neighbour query
 // inspects cells in expanding Chebyshev rings around it. That turns the
-// O(n²) pairwise scans of Cluster and KDist into ~O(n) expected work on
-// the low-dimensional point sets the Section 7 detector produces
-// (rows × selected attributes, typically 1–6 dimensions).
+// O(n²) pairwise scans of a clustering pass into ~O(n) expected work on
+// low-dimensional point sets too large for the pass's distance matrix
+// (more than matrixCap points).
 //
 // The grid degenerates when the dimensionality is high (3^d neighbour
 // cells stop being cheaper than scanning all n points), when any
 // coordinate is non-finite, or when the coordinate span divided by the
 // cell size overflows the cell-index range. All those cases fall back
-// to the naive scan, so the indexed entry points are total and —
-// pinned by golden and fuzz tests — label-identical to the naive
-// implementation in every regime.
+// to the row-by-row scan, so the pass is total and — pinned by golden
+// and fuzz tests — label-identical to the naive implementation in
+// every regime.
 
 // maxGridDim is the hard dimensionality ceiling of the grid: cell keys
 // are fixed-size arrays so they can be Go map keys without hashing
@@ -214,8 +214,8 @@ func (g *grid) buildOffsets() {
 
 // neighbours appends to dst the indices of every point within eps of
 // points[i] (including i itself), in ascending index order — exactly
-// the list the naive O(n) scan produces, which is what keeps the
-// indexed Cluster label-identical to the naive one.
+// the list the naive O(n) scan produces, which is what keeps grid
+// clustering label-identical to the naive one.
 func (g *grid) neighbours(points []Point, i int, eps float64, dst []int32) []int32 {
 	center := g.keys[i]
 	p := points[i]
@@ -245,8 +245,9 @@ func (g *grid) neighbours(points []Point, i int, eps float64, dst []int32) []int
 // so the search stops as soon as the k-th best distance is within that
 // bound. A per-point work budget caps pathological geometries (e.g. a
 // far outlier forcing many empty rings): beyond it the point falls
-// back to the naive scan, keeping the worst case at naive cost.
-func (g *grid) kdist(points []Point, i, k int, sc *kdScratch) float64 {
+// back to the row scan, keeping the worst case at naive cost.
+func (g *grid) kdist(sc *scratch, i, k int) float64 {
+	points := sc.points
 	p := points[i]
 	best := sc.best[:0]
 	budget := 4*len(points) + 64
@@ -260,7 +261,7 @@ func (g *grid) kdist(points []Point, i, k int, sc *kdScratch) float64 {
 		for {
 			work++
 			if work > budget {
-				return g.kdistNaive(points, i, k, sc)
+				return sc.kth(i, k)
 			}
 			shell := r == 0
 			for j := 0; j < g.dims; j++ {
@@ -277,7 +278,7 @@ func (g *grid) kdist(points []Point, i, k int, sc *kdScratch) float64 {
 				if s, ok := g.span[key]; ok {
 					work += int(s.n)
 					if work > budget {
-						return g.kdistNaive(points, i, k, sc)
+						return sc.kth(i, k)
 					}
 					for _, j := range g.idx[s.start : s.start+s.n] {
 						if int(j) == i {
@@ -328,26 +329,6 @@ func (g *grid) ringExhausted(i int, r int32) bool {
 		}
 	}
 	return true
-}
-
-// kdistNaive is the per-point fallback: scan all points.
-func (g *grid) kdistNaive(points []Point, i, k int, sc *kdScratch) float64 {
-	dists := sc.dists[:0]
-	for j := range points {
-		if j != i {
-			dists = append(dists, Distance(points[i], points[j]))
-		}
-	}
-	sc.dists = dists
-	if len(dists) == 0 {
-		return 0
-	}
-	sort.Float64s(dists)
-	ki := k - 1
-	if ki >= len(dists) {
-		ki = len(dists) - 1
-	}
-	return dists[ki]
 }
 
 // insertBest inserts d into the ascending k-smallest buffer.
@@ -414,21 +395,6 @@ func allIdentical(points []Point) bool {
 	}
 	return true
 }
-
-// kdScratch holds the per-call buffers of the indexed KDist.
-type kdScratch struct {
-	best  []float64
-	dists []float64
-}
-
-// clusterScratch holds the per-call buffers of the indexed Cluster.
-type clusterScratch struct {
-	nbr   []int32
-	seeds []int32
-	kd    kdScratch
-}
-
-var clusterPool = sync.Pool{New: func() any { return new(clusterScratch) }}
 
 // sortInt32s sorts s ascending. Insertion sort below a small threshold
 // (neighbour lists are usually tiny), stdlib sort above it.

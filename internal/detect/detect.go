@@ -7,11 +7,8 @@ package detect
 
 import (
 	"context"
-	"math"
 
-	"dbsherlock/internal/dbscan"
 	"dbsherlock/internal/metrics"
-	"dbsherlock/internal/stats"
 )
 
 // Params configure the detector. The zero value is not usable; start
@@ -36,26 +33,6 @@ func DefaultParams() Params {
 	return Params{Tau: 20, PotentialThreshold: 0.3, MinPts: 3, SmallClusterFraction: 0.2}
 }
 
-// PotentialPower computes Equation (4) for one attribute: the maximum
-// absolute difference between the overall median and the median of any
-// sliding window of length tau, over the normalized values. It is high
-// for attributes with an abrupt, sustained level shift and low for flat
-// or white-noise attributes.
-func PotentialPower(values []float64, tau int) float64 {
-	norm := stats.Normalize(values)
-	overall := stats.Median(norm)
-	if math.IsNaN(overall) {
-		return 0
-	}
-	var pp float64
-	for _, m := range stats.SlidingWindowMedians(norm, tau) {
-		if d := math.Abs(overall - m); d > pp {
-			pp = d
-		}
-	}
-	return pp
-}
-
 // Result is the outcome of automatic detection.
 type Result struct {
 	// Abnormal selects the detected anomalous rows.
@@ -78,89 +55,27 @@ func Detect(ds *metrics.Dataset, p Params) Result {
 // between the per-attribute potential-power passes and between the
 // clustering stages, returning ctx.Err() promptly once it fires. An
 // uncancelled call is byte-identical to Detect.
+//
+// Batch detection is a one-shot Stream whose window is the whole
+// dataset, so it runs the same pipeline as every monitoring tick. The
+// stream is discarded, so the caller owns the result.
 func DetectCtx(ctx context.Context, ds *metrics.Dataset, p Params) (Result, error) {
-	done := ctx.Done()
-	rows := ds.Rows()
-	res := Result{Abnormal: metrics.NewRegion(rows)}
-	if rows == 0 {
-		return res, nil
-	}
+	s := NewStream(p, ds.Rows(), 1)
+	s.Append(ds)
+	return s.detect(ctx)
+}
 
-	// Select attributes with an abrupt sustained change (Equation 4).
-	var cols [][]float64
-	for i := 0; i < ds.NumAttrs(); i++ {
-		if done != nil {
-			select {
-			case <-done:
-				return res, ctx.Err()
-			default:
-			}
-		}
-		col := ds.ColumnAt(i)
-		if col.Attr.Type != metrics.Numeric {
-			continue
-		}
-		if PotentialPower(col.Num, p.Tau) > p.PotentialThreshold {
-			res.SelectedAttrs = append(res.SelectedAttrs, col.Attr.Name)
-			cols = append(cols, stats.Normalize(col.Num))
-		}
-	}
-	if len(cols) == 0 {
-		return res, nil
-	}
-
-	points := make([]dbscan.Point, rows)
-	for i := 0; i < rows; i++ {
-		pt := make(dbscan.Point, len(cols))
-		for c, col := range cols {
-			v := col[i]
-			if math.IsNaN(v) {
-				v = 0
-			}
-			pt[c] = v
-		}
-		points[i] = pt
-	}
-	if done != nil {
-		select {
-		case <-done:
-			return res, ctx.Err()
-		default:
-		}
-	}
-
-	// eps from the k-dist list with k = minPts (Section 7). The paper
-	// uses max(Lk)/4, which assumes a heavy-tailed k-dist curve (sparse
-	// outliers). When many attributes are selected, distances
-	// concentrate and max(Lk)/4 can fall below every point's k-dist,
-	// declaring everything noise; the 1.5*median(Lk) floor keeps eps
-	// above the dense-region neighbour distance in that regime.
-	lk := dbscan.KDist(points, p.MinPts)
+// epsilon is the Section 7 rule for DBSCAN's radius over the ascending
+// k-dist list Lk (k = minPts). The paper uses max(Lk)/4, which assumes
+// a heavy-tailed k-dist curve (sparse outliers). When many attributes
+// are selected, distances concentrate and max(Lk)/4 can fall below
+// every point's k-dist, declaring everything noise; the 1.5*median(Lk)
+// floor keeps eps above the dense-region neighbour distance in that
+// regime.
+func epsilon(lk []float64) float64 {
 	eps := lk[len(lk)-1] / 4
 	if floor := 1.5 * lk[len(lk)/2]; floor > eps {
 		eps = floor
 	}
-	if eps <= 0 {
-		// Degenerate geometry (all selected attributes constant over the
-		// selected rows); nothing separates.
-		return res, nil
-	}
-	res.Epsilon = eps
-	if done != nil {
-		select {
-		case <-done:
-			return res, ctx.Err()
-		default:
-		}
-	}
-
-	labels := dbscan.Cluster(points, eps, p.MinPts)
-	sizes := dbscan.Sizes(labels)
-	small := int(p.SmallClusterFraction * float64(rows))
-	for i, l := range labels {
-		if l == dbscan.Noise || sizes[l] < small {
-			res.Abnormal.Add(i)
-		}
-	}
-	return res, nil
+	return eps
 }

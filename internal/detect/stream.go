@@ -1,7 +1,10 @@
 package detect
 
 import (
+	"context"
 	"math"
+	"slices"
+	"sort"
 
 	"dbsherlock/internal/core"
 	"dbsherlock/internal/dbscan"
@@ -9,24 +12,27 @@ import (
 	"dbsherlock/internal/stats"
 )
 
-// Stream is the incremental counterpart of Detect for an always-on
-// monitor: rows are appended as they arrive, a sliding window of the
-// last windowCap rows is kept, and Detect answers over the current
-// window with output byte-identical to running the batch Detect on a
-// snapshot of it (pinned by golden tests).
+// Stream is the Section 7 detector over a sliding window: rows are
+// appended as they arrive, the last windowCap rows are kept, and Detect
+// answers over the current window. Batch detection (DetectCtx) is a
+// one-shot Stream over the whole dataset, so a tick's output is
+// byte-identical to Detect on a snapshot of its window, and golden
+// tests pin both to the verbatim pre-stream batch pipeline.
 //
-// The batch pipeline recomputes everything per pass: per-attribute
-// normalization, the Equation (4) sliding-median sweep, and the DBSCAN
-// point set. Stream instead keeps per-attribute state across ticks —
-// monotonic min/max deques over the raw window, a sorted multiset of
-// normalized values for the overall median, and a continuation of the
-// tau-window median sweep — so a tick costs O(rows-added) per attribute
-// when the window's min/max are stable, falling back to a full
-// per-attribute rebuild (the batch cost) when they shift. Equality is
-// exact because every maintained quantity is rebuilt from scratch the
-// moment its normalization inputs change, and the potential-power
-// maximum over window medians is attained at the median set's extremes,
-// which the deques track bitwise.
+// An attribute's potential power (Equation 4) is the largest absolute
+// difference between the median of its normalized values and the
+// median of any tau-row window of them: high for an abrupt, sustained
+// level shift, low for flat or white-noise attributes. A one-shot pass
+// computes it from scratch. A long-lived Stream keeps per-attribute
+// state across ticks — monotonic min/max deques over the raw window, a
+// sorted multiset of normalized values for the overall median, and a
+// continuation of the tau-window median sweep — so a tick costs
+// O(rows-added) per attribute when the window's min/max are stable,
+// falling back to a full per-attribute rebuild when they shift.
+// Equality is exact because every maintained quantity is rebuilt from
+// scratch the moment its normalization inputs change, and the
+// potential-power maximum over window medians is attained at the median
+// set's extremes, which the deques track bitwise.
 //
 // Stream is not safe for concurrent use; serialize Append and Detect.
 type Stream struct {
@@ -75,7 +81,7 @@ type attrStream struct {
 
 	// Normalization-dependent state, valid only while (ok, min, max)
 	// match the cached triple below. Any change triggers a full rebuild,
-	// so every value here is always bitwise what the batch pipeline
+	// so every value here is always bitwise what a from-scratch pass
 	// would compute on the current window.
 	built     bool
 	ok        bool
@@ -85,10 +91,10 @@ type attrStream struct {
 
 	sortedNorm []float64 // sorted non-NaN normalized values of the window
 	tail       []float64 // sorted non-NaN normalized values of the last tau rows
-	meds       []float64 // sliding-window medians; meds[i] ends at row medBase+i
-	medBase    int       // absolute end row of meds[0]
-	medMin     []idxVal  // monotonic deques over meds (NaN medians skipped)
-	medMax     []idxVal
+
+	// Monotonic deques over the sliding-window medians, keyed by each
+	// window's absolute end row (NaN medians skipped).
+	medMin, medMax []idxVal
 
 	pp float64 // potential power as of the last Detect
 }
@@ -186,7 +192,7 @@ func (a *attrStream) push(vals []float64, total, cap int) {
 // extremes — the same formula stats.Normalize applies, preserving NaN.
 // Note a non-NaN input can normalize to NaN (infinite extremes); all
 // skip-NaN decisions below therefore look at the normalized value, as
-// the batch pipeline does.
+// a sweep over stats.Normalize's output does.
 func (a *attrStream) norm(x float64) float64 {
 	if math.IsNaN(x) {
 		return math.NaN()
@@ -216,6 +222,14 @@ func (a *attrStream) normPoint(x float64) float64 {
 // Stream-owned scratch: they are valid until the next Detect call, and
 // callers that retain them (the monitor's alert path) must clone.
 func (s *Stream) Detect() Result {
+	res, _ := s.detect(context.Background())
+	return res
+}
+
+// detect is Detect under a context, checked between attributes'
+// potential-power updates, before the k-dist stage and between it and
+// clustering.
+func (s *Stream) detect(ctx context.Context) (Result, error) {
 	rows := s.rows
 	if s.region == nil || s.region.Len() != rows {
 		s.region = metrics.NewRegion(rows)
@@ -224,14 +238,17 @@ func (s *Stream) Detect() Result {
 	}
 	res := Result{Abnormal: s.region}
 	if rows == 0 {
-		return res
+		return res, nil
 	}
 	lo := s.total - rows
 
-	core.ForEach(len(s.attrs), s.workers, func(k int) {
+	// Select attributes with an abrupt sustained change (Equation 4).
+	err := core.ForEachCtx(ctx, len(s.attrs), s.workers, func(k int) {
 		s.attrs[k].update(lo, rows, s.tau, s.total, s.cap)
 	})
-
+	if err != nil {
+		return res, err
+	}
 	s.selIdx = s.selIdx[:0]
 	s.selected = s.selected[:0]
 	for k := range s.attrs {
@@ -241,7 +258,7 @@ func (s *Stream) Detect() Result {
 		}
 	}
 	if len(s.selIdx) == 0 {
-		return res
+		return res, nil
 	}
 	res.SelectedAttrs = s.selected
 
@@ -264,20 +281,31 @@ func (s *Stream) Detect() Result {
 	for i := range pts {
 		pts[i] = flat[i*d : (i+1)*d]
 	}
-
-	s.lk = dbscan.KDistInto(s.lk, pts, s.p.MinPts)
-	eps := s.lk[rows-1] / 4
-	if floor := 1.5 * s.lk[rows/2]; floor > eps {
-		eps = floor
+	if err := ctx.Err(); err != nil {
+		return res, err
 	}
+
+	// eps from the k-dist list with k = minPts; a non-positive eps means
+	// the selected attributes are constant over the window (degenerate
+	// geometry) and nothing separates.
+	var eps float64
+	s.lk, s.labels, _ = dbscan.KDistCluster(s.lk, s.labels, pts, s.p.MinPts, func(lk []float64) (float64, bool) {
+		eps = epsilon(lk)
+		if eps <= 0 {
+			return eps, false
+		}
+		err = ctx.Err()
+		return eps, err == nil
+	})
 	if eps <= 0 {
-		return res
+		return res, nil
 	}
 	res.Epsilon = eps
+	if err != nil {
+		return res, err
+	}
 
-	s.labels = dbscan.ClusterInto(s.labels, pts, eps, s.p.MinPts)
-	// Dense cluster sizes instead of dbscan.Sizes' map: no per-tick
-	// allocation, same counts.
+	// Dense cluster sizes: no per-tick allocation.
 	s.sizes = s.sizes[:0]
 	for _, l := range s.labels {
 		if l == dbscan.Noise {
@@ -294,7 +322,7 @@ func (s *Stream) Detect() Result {
 			s.region.Add(i)
 		}
 	}
-	return res
+	return res, nil
 }
 
 // update brings one attribute's potential power to the current window
@@ -315,7 +343,7 @@ func (a *attrStream) update(lo, rows, tau, total, cap int) {
 	}
 	if !ok || max-min == 0 {
 		// All-NaN window → overall median NaN → pp 0; constant window →
-		// every normalized value 0 → pp 0. Either way the batch pipeline
+		// every normalized value 0 → pp 0. Either way a from-scratch pass
 		// reports zero potential, and the sorted state is stale.
 		a.pp = 0
 		a.built = false
@@ -380,11 +408,6 @@ func (a *attrStream) advance(lo, tau, total, cap int) {
 	// Window positions are keyed by their absolute end row; the first
 	// surviving position ends at lo+tau-1.
 	newBase := lo + tau - 1
-	if k := newBase - a.medBase; k > 0 {
-		copy(a.meds, a.meds[k:])
-		a.meds = a.meds[:len(a.meds)-k]
-		a.medBase = newBase
-	}
 	for len(a.medMin) > 0 && a.medMin[0].idx < newBase {
 		a.medMin = a.medMin[1:]
 	}
@@ -406,22 +429,24 @@ func (a *attrStream) advance(lo, tau, total, cap int) {
 	}
 }
 
-// rebuild recomputes the sorted state from the ring exactly as the
-// batch pipeline would: normalized multiset, then the full
-// SlidingWindowMedians sweep with an effective tau clamped to the
-// window length.
+// rebuild recomputes the sorted state from the ring from scratch: the
+// normalized multiset, then the full SlidingWindowMedians sweep with an
+// effective tau clamped to the window length.
 func (a *attrStream) rebuild(lo, rows, tau, cap int) {
-	a.sortedNorm = a.sortedNorm[:0]
+	a.sortedNorm = slices.Grow(a.sortedNorm[:0], rows)
 	a.tail = a.tail[:0]
-	a.meds = a.meds[:0]
 	a.medMin = a.medMin[:0]
 	a.medMax = a.medMax[:0]
 
+	// One sort rather than rows insertions. It may order -0 and +0
+	// differently, which changes at most the sign of a zero median;
+	// potential power is |overall − m| and does not see it.
 	for i := 0; i < rows; i++ {
 		if nx := a.norm(a.ring[(lo+i)%cap]); !math.IsNaN(nx) {
-			a.sortedNorm = stats.InsertSorted(a.sortedNorm, nx)
+			a.sortedNorm = append(a.sortedNorm, nx)
 		}
 	}
+	sort.Float64s(a.sortedNorm)
 
 	effTau := tau
 	if effTau > rows {
@@ -432,8 +457,7 @@ func (a *attrStream) rebuild(lo, rows, tau, cap int) {
 			a.tail = stats.InsertSorted(a.tail, nx)
 		}
 	}
-	a.medBase = lo + effTau - 1
-	a.pushMed(a.medBase, stats.MedianSorted(a.tail))
+	a.pushMed(lo+effTau-1, stats.MedianSorted(a.tail))
 	for w := 1; w+effTau <= rows; w++ {
 		if out := a.norm(a.ring[(lo+w-1)%cap]); !math.IsNaN(out) {
 			a.tail = stats.RemoveSorted(a.tail, out)
@@ -446,11 +470,10 @@ func (a *attrStream) rebuild(lo, rows, tau, cap int) {
 	a.built = true
 }
 
-// pushMed records the median of the window ending at absolute row r and
-// feeds the median extreme deques (NaN medians contribute nothing to
-// potential power, as in the batch sweep).
+// pushMed feeds the median of the window ending at absolute row r to
+// the median extreme deques (NaN medians contribute nothing to
+// potential power).
 func (a *attrStream) pushMed(r int, m float64) {
-	a.meds = append(a.meds, m)
 	if math.IsNaN(m) {
 		return
 	}

@@ -126,7 +126,7 @@ func driveStream(t *testing.T, ds *metrics.Dataset, p Params, windowCap, chunk, 
 			wLo = 0
 		}
 		got := s.Detect()
-		want := Detect(windowSlice(ds, wLo, hi), p)
+		want := refDetect(windowSlice(ds, wLo, hi), p)
 		requireSameResult(t, fmt.Sprintf("chunk=%d workers=%d rows=[%d,%d)", chunk, workers, wLo, hi), got, want)
 		ticks++
 	}
@@ -149,6 +149,24 @@ func TestStreamMatchesBatchDetect(t *testing.T) {
 			if ticks := driveStream(t, ds, p, windowCap, chunk, checkEvery, workers); ticks == 0 {
 				t.Fatalf("chunk=%d: no detection ticks ran", chunk)
 			}
+		}
+	}
+}
+
+// TestDetectMatchesReference pins batch Detect, a one-shot Stream, to
+// the verbatim pre-stream pipeline on whole datasets: the degenerate
+// columns, datasets shorter than tau, tau 1 and 0, a larger minPts and
+// a zero potential threshold that selects nearly every attribute.
+func TestDetectMatchesReference(t *testing.T) {
+	ds := buildStreamTrace(23, 600)
+	params := []Params{DefaultParams(), {Tau: 1, PotentialThreshold: 0.3, MinPts: 3, SmallClusterFraction: 0.2},
+		{Tau: 0, PotentialThreshold: 0.3, MinPts: 3, SmallClusterFraction: 0.2},
+		{Tau: 20, PotentialThreshold: 0.3, MinPts: 5, SmallClusterFraction: 0.5},
+		{Tau: 20, PotentialThreshold: 0, MinPts: 3, SmallClusterFraction: 0.2}}
+	for _, rows := range []int{1, 19, 21, 150, 600} {
+		win := windowSlice(ds, ds.Rows()-rows, ds.Rows())
+		for _, p := range params {
+			requireSameResult(t, fmt.Sprintf("rows=%d params=%+v", rows, p), Detect(win, p), refDetect(win, p))
 		}
 	}
 }
@@ -209,7 +227,7 @@ func TestStreamResultAliasing(t *testing.T) {
 	if second.Abnormal.Count() != count {
 		t.Fatalf("repeat Detect diverged: %d then %d abnormal rows", count, second.Abnormal.Count())
 	}
-	want := Detect(windowSlice(ds, ds.Rows()-300, ds.Rows()), p)
+	want := refDetect(windowSlice(ds, ds.Rows()-300, ds.Rows()), p)
 	requireSameResult(t, "repeat", second, want)
 }
 
@@ -257,7 +275,9 @@ func BenchmarkDetectTickNaive(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// The pre-streaming monitor cost per tick: snapshot + full Detect.
+		// The snapshot-per-tick monitor cost: a deep copy of the window
+		// plus batch Detect, a one-shot Stream that rebuilds every
+		// attribute's state before its clustering pass.
 		win := windowSlice(ds, ds.Rows()-600, ds.Rows()).Clone()
 		res := Detect(win, p)
 		if res.Abnormal == nil {

@@ -198,6 +198,12 @@ func goldenTrace(t *testing.T, seed int64) *metrics.Dataset {
 // a scripted multi-anomaly trace, chunk sizes, worker counts, and with
 // the registry on and off, the streaming monitor's alert stream is
 // byte-identical to the snapshot-based reference monitor's.
+//
+// refMonitor's detect.Detect is now a one-shot detect.Stream, the same
+// pipeline the live monitor ticks, so this test and the ingest one
+// below pin windowing and alert policy. The detection numerics from
+// before batch and streaming detection shared one clustering pass are
+// pinned in internal/detect, against its verbatim refDetect.
 func TestMonitorGoldenAlertStream(t *testing.T) {
 	for _, seed := range []int64{1, 9} {
 		trace := goldenTrace(t, seed)
