@@ -160,11 +160,15 @@ bench-lifecycle:
 
 # Regenerate the numbers behind BENCH_store.json: committed append
 # latency (fsync on/off) vs the in-memory baseline, cold-start replay
-# time vs log size (and vs a compacted snapshot), and the end-to-end
-# /v1/learn durability overhead against the in-memory store (the <10%
-# acceptance budget; commit the medians across the 5 repetitions).
+# time vs log size, vs WAL segment count and vs a compacted snapshot,
+# snapshot and WAL-record encode cost, commit p50/p99 across repeated
+# compaction-threshold crossings (400 commits per repetition, so the p99
+# rests on four samples each), and the end-to-end /v1/learn durability
+# overhead against the in-memory store (the <10% acceptance budget;
+# commit the medians across the 5 repetitions).
 bench-store:
-	$(GO) test -bench 'BenchmarkDurableAppend|BenchmarkMemoryPut|BenchmarkDurableReplay' -benchtime=100x -count=5 -benchmem -run='^$$' ./internal/store/
+	$(GO) test -bench 'BenchmarkDurableAppend|BenchmarkMemoryPut|BenchmarkDurableReplay|BenchmarkEncode' -benchtime=100x -count=5 -benchmem -run='^$$' ./internal/store/
+	$(GO) test -bench 'BenchmarkDurableCommitTail' -benchtime=400x -count=5 -benchmem -run='^$$' ./internal/store/
 	$(GO) test -bench 'BenchmarkLearnEndpoint' -benchtime=100x -count=5 -benchmem -run='^$$' ./internal/server/
 
 # Regenerate the numbers behind BENCH_serve.json: end-to-end /v1/explain

@@ -32,13 +32,14 @@ type StoreMetrics struct {
 	readOnly    *Gauge
 	replayBytes *Gauge
 
-	commits     *CounterFamily
-	tenantOps   *CounterFamily
-	rollbacks   *Counter
-	tornBytes   *Counter
-	tooLarge    *Counter
-	compactions *Counter
-	replays     *Counter
+	commits    *CounterFamily
+	tenantOps  *CounterFamily
+	rollbacks  *Counter
+	tornBytes  *Counter
+	tooLarge   *Counter
+	compactOK  *Counter
+	compactErr *Counter
+	replays    *Counter
 
 	backend   string
 	tenantCap int
@@ -69,7 +70,7 @@ func NewStoreMetrics(reg *Registry, backend string, tenantCap int) *StoreMetrics
 		"Snapshot compaction duration, by backend.", IOBuckets).With(bl...)
 	m.walBytes = reg.NewGaugeFamily(
 		"dbsherlock_store_wal_size_bytes",
-		"Current WAL file size, by backend.").With(bl...)
+		"Current size of every live WAL segment (what a restart replays), by backend.").With(bl...)
 	m.walSeq = reg.NewGaugeFamily(
 		"dbsherlock_store_wal_sequence",
 		"Last committed WAL sequence number, by backend.").With(bl...)
@@ -97,9 +98,11 @@ func NewStoreMetrics(reg *Registry, backend string, tenantCap int) *StoreMetrics
 	m.tooLarge = reg.NewCounterFamily(
 		"dbsherlock_store_rejected_too_large_total",
 		"Writes rejected because the encoded record exceeds the frame limit, by backend.").With(bl...)
-	m.compactions = reg.NewCounterFamily(
+	compactions := reg.NewCounterFamily(
 		"dbsherlock_store_compactions_total",
-		"Snapshot compaction attempts, by backend.").With(bl...)
+		"Snapshot compaction attempts, by backend and result (ok or error).")
+	m.compactOK = compactions.With("backend", backend, "result", "ok")
+	m.compactErr = compactions.With("backend", backend, "result", "error")
 	m.replays = reg.NewCounterFamily(
 		"dbsherlock_store_replays_total",
 		"Recovery replays performed at open, by backend.").With(bl...)
@@ -132,9 +135,15 @@ func (m *StoreMetrics) ObserveReplay(d time.Duration, records int, bytes int64) 
 	m.replayBytes.Set(float64(bytes))
 }
 
-// ObserveCompaction implements store.Observer.
+// ObserveCompaction implements store.Observer. Compaction runs in the
+// background, so a failed one reaches no request: the result label is
+// where it shows.
 func (m *StoreMetrics) ObserveCompaction(d time.Duration, snapshotBytes int64, err error) {
-	m.compactions.Inc()
+	if err != nil {
+		m.compactErr.Inc()
+	} else {
+		m.compactOK.Inc()
+	}
 	m.compactHist.Observe(d)
 }
 

@@ -46,7 +46,8 @@ func TestStoreMetricsExposition(t *testing.T) {
 		`dbsherlock_store_rollbacks_total{backend="durable"} 1`,
 		`dbsherlock_store_torn_tail_bytes_total{backend="durable"} 17`,
 		`dbsherlock_store_rejected_too_large_total{backend="durable"} 1`,
-		`dbsherlock_store_compactions_total{backend="durable"} 2`,
+		`dbsherlock_store_compactions_total{backend="durable",result="ok"} 1`,
+		`dbsherlock_store_compactions_total{backend="durable",result="error"} 1`,
 		`dbsherlock_store_replays_total{backend="durable"} 1`,
 	} {
 		if !strings.Contains(out, want) {
@@ -62,6 +63,41 @@ func TestStoreMetricsExposition(t *testing.T) {
 	reg.WritePrometheus(&b)
 	if !strings.Contains(b.String(), `dbsherlock_store_read_only{backend="durable"} 0`) {
 		t.Error("read_only gauge did not return to 0")
+	}
+}
+
+// TestStoreMetricsCompactionResults: a background compaction's failure
+// reaches no request, so the counter must split attempts by outcome,
+// and both series exist before the first attempt.
+func TestStoreMetricsCompactionResults(t *testing.T) {
+	reg := NewRegistry()
+	m := NewStoreMetrics(reg, "durable", 0)
+	render := func() string {
+		var b strings.Builder
+		reg.WritePrometheus(&b)
+		return b.String()
+	}
+	for _, want := range []string{
+		`dbsherlock_store_compactions_total{backend="durable",result="ok"} 0`,
+		`dbsherlock_store_compactions_total{backend="durable",result="error"} 0`,
+	} {
+		if out := render(); !strings.Contains(out, want) {
+			t.Errorf("fresh registry missing %q", want)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		m.ObserveCompaction(time.Millisecond, 4096, nil)
+	}
+	m.ObserveCompaction(time.Millisecond, 4096, errors.New("sync data dir: injected"))
+	out := render()
+	for _, want := range []string{
+		`dbsherlock_store_compactions_total{backend="durable",result="ok"} 3`,
+		`dbsherlock_store_compactions_total{backend="durable",result="error"} 1`,
+		`dbsherlock_store_compaction_seconds_count{backend="durable"} 4`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q", want)
+		}
 	}
 }
 

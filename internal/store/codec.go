@@ -57,6 +57,9 @@ func (o *op) apply(m *Memory) {
 
 // ---- encoding ----
 
+// encoder appends to buf. Every caller sizes buf once from the exact
+// encoded length (the *Size functions below), so a WAL record or a
+// snapshot encodes into one allocation with no regrowth or copying.
 type encoder struct{ buf []byte }
 
 func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
@@ -122,9 +125,8 @@ func (e *encoder) model(m *causal.Model) {
 	}
 }
 
-// encodeOp serializes one op (without the WAL frame).
-func encodeOp(o *op) []byte {
-	var e encoder
+// op serializes one op (the WAL payload after its sequence number).
+func (e *encoder) op(o *op) {
 	e.u8(o.kind)
 	e.str(o.tenant)
 	switch o.kind {
@@ -141,7 +143,101 @@ func encodeOp(o *op) []byte {
 			e.model(m)
 		}
 	}
-	return e.buf
+}
+
+// state serializes the complete materialized state in deterministic
+// insertion order. Two Memory stores that went through equivalent op
+// sequences produce byte-identical encodings, which is what the crash
+// battery's oracle comparison relies on. Caller holds m.mu.
+func (e *encoder) state(m *Memory) {
+	e.u32(uint32(len(m.tenantOrder)))
+	for _, name := range m.tenantOrder {
+		ts := m.tenants[name]
+		e.str(name)
+		e.u32(uint32(ts.nextID))
+		e.u32(uint32(len(ts.dsOrder)))
+		for _, id := range ts.dsOrder {
+			e.str(id)
+			e.dataset(ts.datasets[id])
+		}
+		e.u32(uint32(len(ts.modelOrder)))
+		for _, cause := range ts.modelOrder {
+			e.model(ts.models[cause])
+		}
+	}
+}
+
+// Exact encoded lengths, one per encoder method above. A wrong size
+// would cost a regrowth or slack, never different bytes;
+// TestEncodingMatchesReference pins every buffer to its exact length.
+
+func strSize(s string) int { return 4 + len(s) }
+
+func datasetSize(ds *metrics.Dataset) int {
+	n := 4 + 8*ds.Rows() + 4
+	for i := 0; i < ds.NumAttrs(); i++ {
+		col := ds.ColumnAt(i)
+		n += 1 + strSize(col.Attr.Name)
+		switch col.Attr.Type {
+		case metrics.Numeric:
+			n += 8 * len(col.Num)
+		case metrics.Categorical:
+			for _, v := range col.Cat {
+				n += strSize(v)
+			}
+		}
+	}
+	return n
+}
+
+func modelSize(m *causal.Model) int {
+	n := strSize(m.Cause) + 4 + 4
+	for _, p := range m.Predicates {
+		n += strSize(p.Attr) + 1 + 1 + 8 + 8 + 4
+		for _, c := range p.Categories {
+			n += strSize(c)
+		}
+	}
+	n += 4
+	for _, r := range m.Remediations {
+		n += strSize(r)
+	}
+	return n
+}
+
+func opSize(o *op) int {
+	n := 1 + strSize(o.tenant)
+	switch o.kind {
+	case opPutDataset:
+		n += strSize(o.id) + datasetSize(o.ds)
+	case opDeleteDataset:
+		n += strSize(o.id)
+	case opPutModel:
+		n += modelSize(o.model)
+	case opReplaceModels:
+		n += 4
+		for _, m := range o.models {
+			n += modelSize(m)
+		}
+	}
+	return n
+}
+
+// stateSize is the encoded length of m's state. Caller holds m.mu.
+func stateSize(m *Memory) int {
+	n := 4
+	for _, name := range m.tenantOrder {
+		ts := m.tenants[name]
+		n += strSize(name) + 4 + 4
+		for _, id := range ts.dsOrder {
+			n += strSize(id) + datasetSize(ts.datasets[id])
+		}
+		n += 4
+		for _, cause := range ts.modelOrder {
+			n += modelSize(ts.models[cause])
+		}
+	}
+	return n
 }
 
 // ---- decoding ----
@@ -352,33 +448,7 @@ func decodeOp(buf []byte) (*op, error) {
 
 // ---- full-state snapshot payload ----
 
-// encodeState serializes the complete materialized state in
-// deterministic insertion order. Two Memory stores that went through
-// equivalent op sequences produce byte-identical encodings, which is
-// what the crash battery's oracle comparison relies on.
-func encodeState(m *Memory) []byte {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var e encoder
-	e.u32(uint32(len(m.tenantOrder)))
-	for _, name := range m.tenantOrder {
-		ts := m.tenants[name]
-		e.str(name)
-		e.u32(uint32(ts.nextID))
-		e.u32(uint32(len(ts.dsOrder)))
-		for _, id := range ts.dsOrder {
-			e.str(id)
-			e.dataset(ts.datasets[id])
-		}
-		e.u32(uint32(len(ts.modelOrder)))
-		for _, cause := range ts.modelOrder {
-			e.model(ts.models[cause])
-		}
-	}
-	return e.buf
-}
-
-// decodeState rebuilds a Memory store from an encodeState payload.
+// decodeState rebuilds a Memory store from an encoded state (encoder.state).
 func decodeState(buf []byte) (*Memory, error) {
 	d := &decoder{buf: buf}
 	m := NewMemory()

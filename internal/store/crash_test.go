@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 
 	"dbsherlock/internal/causal"
@@ -25,6 +26,12 @@ import (
 // error, which is the real-world fsync ambiguity. For that single op,
 // and only that one, recovery may land on acked+1; anything else is a
 // correctness bug.
+//
+// Compaction runs on a background goroutine. The deterministic
+// batteries wait it out after every op (waitCompaction), so a seed
+// always issues the same filesystem calls in the same order and the
+// dry run's counts size the crash space; the concurrent battery does
+// not wait, so its cuts land while snapshots are being written.
 
 const (
 	crashOps          = 40
@@ -131,10 +138,20 @@ func execOp(t *testing.T, d *Durable, o *op) error {
 	return nil
 }
 
-// dryRunBytes runs the sequence with no crash armed, verifies the
-// clean close/reopen round trip, and returns the total bytes the
-// sequence writes (the crash-offset space).
-func dryRunBytes(t *testing.T, seed int64) int64 {
+// waitCompaction blocks until no compaction is in flight.
+func waitCompaction(d *Durable) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for d.compacting {
+		d.idle.Wait()
+	}
+}
+
+// dryRun runs the sequence with no crash armed, verifies the clean
+// close/reopen round trip, and returns the total bytes the sequence
+// writes and the mutating filesystem calls it makes (the two crash
+// spaces).
+func dryRun(t *testing.T, seed int64) (bytesWritten int64, ops int) {
 	t.Helper()
 	ffs := NewFailFS()
 	d, err := OpenDurable("data", WithFS(ffs), WithCompactEvery(crashCompactEvery))
@@ -149,6 +166,7 @@ func dryRunBytes(t *testing.T, seed int64) int64 {
 		if err := execOp(t, d, o); err != nil {
 			t.Fatalf("seed %d: op failed with no crash armed: %v", seed, err)
 		}
+		waitCompaction(d)
 		o.apply(oracle)
 	}
 	if err := d.Close(); err != nil {
@@ -162,16 +180,79 @@ func dryRunBytes(t *testing.T, seed int64) int64 {
 	if !bytes.Equal(encodeState(d2.mem), encodeState(oracle)) {
 		t.Fatalf("seed %d: clean round trip diverged from oracle", seed)
 	}
-	return ffs.BytesWritten()
+	return ffs.BytesWritten(), ffs.OpsDone()
 }
 
-// crashTrial cuts power after budget written bytes and asserts exact
-// recovery.
-func crashTrial(t *testing.T, seed, budget int64, drop bool) {
+// crashCase is one trial: the op sequence, where the power cut lands,
+// the post-crash model, and whether ops wait out each compaction.
+type crashCase struct {
+	seed       int64
+	budget     int64 // cut after this many written bytes, unless atOp is set
+	atOp       int   // > 0: cut at this mutating filesystem call instead
+	drop       bool  // post-crash model: unsynced bytes are lost
+	concurrent bool  // run ops without waiting for compactions
+}
+
+// crashLayout describes the data directory a cut left behind, before
+// recovery touches it.
+type crashLayout struct {
+	segments    int  // WAL segment files
+	withRecords int  // segments holding at least one intact record
+	newestTorn  bool // a rotated-to segment's header is incomplete
+	coveredLeft bool // the snapshot covers every record of a segment still present
+	snapshotTmp bool // a snapshot write was cut short
+}
+
+func describeLayout(t *testing.T, post *FailFS, dir string) crashLayout {
 	t.Helper()
+	var l crashLayout
+	var snapSeq uint64
+	if n, ok := post.files[dir+"/"+snapName]; ok {
+		_, seq, err := decodeSnapshot(n.data)
+		if err != nil {
+			t.Fatalf("post-crash snapshot is corrupt: %v", err)
+		}
+		snapSeq = seq
+	}
+	_, l.snapshotTmp = post.files[dir+"/"+snapName+tmpExt]
+	newest, newestLen := -1, 0
+	for name, n := range post.files {
+		i, ok := segmentIndex(strings.TrimPrefix(name, dir+"/"))
+		if !ok {
+			continue
+		}
+		l.segments++
+		if i > newest {
+			newest, newestLen = i, len(n.data)
+		}
+		recs, _, err := replayWAL(n.data)
+		if err != nil {
+			t.Fatalf("post-crash %s: %v", name, err)
+		}
+		if len(recs) > 0 {
+			l.withRecords++
+			if snapSeq > 0 && recs[len(recs)-1].seq <= snapSeq {
+				l.coveredLeft = true
+			}
+		}
+	}
+	l.newestTorn = newest > 0 && newestLen < len(walMagic)
+	return l
+}
+
+// crashTrial cuts power as c says and asserts exact recovery. It
+// returns the layout the cut left.
+func crashTrial(t *testing.T, c crashCase) crashLayout {
+	t.Helper()
+	seed, budget, drop := c.seed, c.budget, c.drop
 	ffs := NewFailFS()
 	ffs.DropUnsynced(drop)
-	ffs.CrashAfterBytes(budget)
+	if c.atOp > 0 {
+		ffs.CrashAtOp(c.atOp)
+		budget = -int64(c.atOp) // failure messages show an op cut as a negative budget
+	} else {
+		ffs.CrashAfterBytes(budget)
+	}
 
 	oracle := NewMemory()
 	var ambiguous *op
@@ -187,6 +268,9 @@ func crashTrial(t *testing.T, seed, budget int64, drop bool) {
 			}
 			crashedBefore := ffs.Crashed()
 			err := execOp(t, d, o)
+			if !c.concurrent {
+				waitCompaction(d)
+			}
 			switch {
 			case err == nil:
 				o.apply(oracle)
@@ -203,10 +287,15 @@ func crashTrial(t *testing.T, seed, budget int64, drop bool) {
 			if err := d.Close(); err != nil {
 				t.Fatalf("seed %d budget %d: close: %v", seed, budget, err)
 			}
+		} else {
+			// Join the compaction goroutine; on the dead disk the close
+			// itself may fail.
+			_ = d.Close()
 		}
 	}
 
 	post := ffs.PostCrashFS()
+	layout := describeLayout(t, post, "data")
 	d2, err := OpenDurable("data", WithFS(post), WithCompactEvery(crashCompactEvery))
 	if err != nil {
 		t.Fatalf("seed %d budget %d drop=%v: recovery open failed: %v", seed, budget, drop, err)
@@ -236,6 +325,7 @@ func crashTrial(t *testing.T, seed, budget int64, drop bool) {
 	if _, err := d2.PutDataset("post-recovery", genDataset(rand.New(rand.NewSource(seed)))); err != nil {
 		t.Fatalf("seed %d budget %d drop=%v: write after recovery: %v", seed, budget, drop, err)
 	}
+	return layout
 }
 
 // TestCrashMatrix is the battery: ≥500 randomized crash points across
@@ -249,7 +339,7 @@ func TestCrashMatrix(t *testing.T) {
 	trials := 0
 	for _, drop := range []bool{false, true} {
 		for _, seed := range seeds {
-			total := dryRunBytes(t, seed)
+			total, _ := dryRun(t, seed)
 			if total < 10*crashCompactEvery {
 				t.Fatalf("seed %d writes only %d bytes; sequence too small to cross compaction", seed, total)
 			}
@@ -264,12 +354,89 @@ func TestCrashMatrix(t *testing.T) {
 				} else {
 					budget = 1 + offRng.Int63n(total)
 				}
-				crashTrial(t, seed, budget, drop)
+				crashTrial(t, crashCase{seed: seed, budget: budget, drop: drop})
 				trials++
 			}
 		}
 	}
 	if !testing.Short() && trials < 500 {
 		t.Fatalf("battery ran only %d crash points, want >= 500", trials)
+	}
+}
+
+// TestCrashBoundaries cuts power at every mutating filesystem call of
+// each sequence, in both post-crash models: before and after each step
+// of segment creation, of the snapshot write and publish, and of each
+// covered segment's deletion. It asserts that the sweep reached the
+// layouts those boundaries leave.
+func TestCrashBoundaries(t *testing.T) {
+	stride := 1
+	if testing.Short() {
+		stride = 7
+	}
+	var torn, two, covered, midSnap, trials int
+	for _, drop := range []bool{false, true} {
+		for _, seed := range []int64{101, 202} {
+			_, ops := dryRun(t, seed)
+			for n := 1; n <= ops; n += stride {
+				l := crashTrial(t, crashCase{seed: seed, atOp: n, drop: drop})
+				trials++
+				if l.newestTorn {
+					torn++
+				}
+				if l.segments >= 2 {
+					two++
+				}
+				if l.coveredLeft {
+					covered++
+				}
+				if l.snapshotTmp {
+					midSnap++
+				}
+			}
+		}
+	}
+	t.Logf("%d cuts: %d in segment creation, %d with two live segments, %d with a published snapshot over undeleted segments, %d mid-snapshot",
+		trials, torn, two, covered, midSnap)
+	if torn == 0 || two == 0 || covered == 0 || midSnap == 0 {
+		t.Fatal("the sweep missed a compaction boundary")
+	}
+}
+
+// TestCrashMatrixConcurrent is the battery without the wait: commits
+// run on while the compaction goroutine writes its snapshot, and the
+// cut (at a random byte or a random filesystem call) lands wherever the
+// interleaving puts it.
+func TestCrashMatrixConcurrent(t *testing.T) {
+	pointsPerSeed := 60
+	if testing.Short() {
+		pointsPerSeed = 10
+	}
+	var midSnap, twoWithRecords, trials int
+	for _, drop := range []bool{false, true} {
+		for _, seed := range []int64{101, 202} {
+			total, ops := dryRun(t, seed)
+			rng := rand.New(rand.NewSource(seed * 104729))
+			for i := 0; i < pointsPerSeed; i++ {
+				c := crashCase{seed: seed, drop: drop, concurrent: true}
+				if i%2 == 0 {
+					c.budget = 1 + rng.Int63n(total)
+				} else {
+					c.atOp = 1 + rng.Intn(ops)
+				}
+				l := crashTrial(t, c)
+				trials++
+				if l.snapshotTmp {
+					midSnap++
+				}
+				if l.withRecords >= 2 {
+					twoWithRecords++
+				}
+			}
+		}
+	}
+	t.Logf("%d cuts: %d mid-snapshot, %d with records in two live segments", trials, midSnap, twoWithRecords)
+	if midSnap == 0 {
+		t.Fatal("no cut landed while a snapshot was being written")
 	}
 }

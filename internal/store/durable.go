@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -14,9 +15,9 @@ import (
 	"dbsherlock/internal/metrics"
 )
 
-// File names inside the data directory. There is exactly one current
-// WAL and at most one current snapshot; *.tmp files are in-flight
-// compaction output, ignored and removed on open.
+// File names inside the data directory. The WAL is one or more segment
+// files (segmentName) and there is at most one current snapshot; *.tmp
+// files are in-flight compaction output, ignored and removed on open.
 const (
 	walName  = "wal"
 	snapName = "snapshot"
@@ -24,8 +25,8 @@ const (
 	tmpExt   = ".tmp"
 )
 
-// DefaultCompactBytes is the WAL size that triggers snapshot
-// compaction.
+// DefaultCompactBytes is the number of bytes appended to the WAL since
+// its last rotation that triggers snapshot compaction.
 const DefaultCompactBytes = 4 << 20
 
 // Durable is the persistent Store backend: a Memory store as the
@@ -33,9 +34,12 @@ const DefaultCompactBytes = 4 << 20
 // CRC-framed, appended, and fsync'd before it is applied and
 // acknowledged, so an acknowledged write survives a power cut and an
 // unacknowledged one disappears cleanly at replay (the torn tail is
-// truncated). When the log outgrows the compaction threshold the full
-// state is written to an atomically renamed snapshot and the log is
-// restarted; replay skips records the snapshot already covers.
+// truncated). When the open log segment outgrows the compaction
+// threshold, the commit that crossed it rotates the log to a fresh
+// segment and takes a pointer image of the state; a background
+// goroutine then writes that image to an atomically renamed snapshot
+// and deletes the segments it covers. Replay loads the snapshot and
+// skips the records it already covers.
 //
 // A Durable is safe for concurrent use: reads go straight to the
 // materialized state, writes serialize on the log. After a log failure
@@ -50,12 +54,16 @@ const DefaultCompactBytes = 4 << 20
 // in-flight record as a torn tail.
 type Durable struct {
 	mu           sync.Mutex
+	idle         sync.Cond // on mu; broadcast when a compaction finishes
 	fs           FS
 	dir          string
 	mem          *Memory
-	wal          File
+	wal          File // append handle on the open segment
 	lock         io.Closer
-	walSize      int64
+	segIndex     int             // index of the open segment
+	walSize      int64           // bytes in the open segment
+	sealed       []sealedSegment // closed segments still on disk, oldest first
+	compacting   bool            // rotated; the snapshot is not yet recorded
 	seq          uint64
 	snapSize     int64
 	syncWrites   bool
@@ -65,6 +73,13 @@ type Durable struct {
 	obs          Observer // optional instrumentation; nil = off
 	failed       error    // first unrecoverable log error; nil while healthy
 	closed       bool
+}
+
+// sealedSegment is a closed WAL segment that no published snapshot has
+// yet made redundant (or whose deletion failed).
+type sealedSegment struct {
+	index int
+	size  int64
 }
 
 var _ Store = (*Durable)(nil)
@@ -78,8 +93,8 @@ func WithFS(fsys FS) DurableOption {
 	return func(d *Durable) { d.fs = fsys }
 }
 
-// WithCompactEvery sets the WAL size in bytes that triggers snapshot
-// compaction; n <= 0 keeps the default (4 MiB).
+// WithCompactEvery sets the number of WAL bytes since the last rotation
+// that triggers snapshot compaction; n <= 0 keeps the default (4 MiB).
 func WithCompactEvery(n int64) DurableOption {
 	return func(d *Durable) {
 		if n > 0 {
@@ -98,8 +113,8 @@ func WithSyncWrites(on bool) DurableOption {
 
 // OpenDurable opens (creating if needed) a durable store rooted at
 // dir: it takes the directory's exclusive lock, loads the newest
-// snapshot, replays the intact prefix of the WAL over it, truncates
-// any torn tail, and is then ready to serve.
+// snapshot, replays the intact prefix of the WAL segments over it,
+// truncates any torn tail, and is then ready to serve.
 func OpenDurable(dir string, opts ...DurableOption) (*Durable, error) {
 	return openDurable(dir, false, opts)
 }
@@ -124,6 +139,7 @@ func openDurable(dir string, readOnly bool, opts []DurableOption) (*Durable, err
 		compactBytes: DefaultCompactBytes,
 		maxRecord:    maxFrameSize,
 	}
+	d.idle.L = &d.mu
 	for _, opt := range opts {
 		opt(d)
 	}
@@ -146,7 +162,7 @@ func openDurable(dir string, readOnly bool, opts []DurableOption) (*Durable, err
 }
 
 // load recovers the materialized state under the already-held lock and
-// (read-write only) prepares the WAL for appending.
+// (read-write only) prepares the newest WAL segment for appending.
 func (d *Durable) load() error {
 	replayStart := time.Now()
 	if !d.readOnly {
@@ -171,12 +187,12 @@ func (d *Durable) load() error {
 	}
 	d.seq = snapSeq
 
-	// Replay the WAL's intact prefix and truncate anything torn.
-	walData, err := d.readFile(d.path(walName))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("store: read wal: %w", err)
+	// Replay the log's intact prefix, segment by segment.
+	segs, err := d.readSegments()
+	if err != nil {
+		return err
 	}
-	recs, goodSize, err := replayWAL(walData)
+	recs, goodSizes, err := replaySegments(segs)
 	if err != nil {
 		return err
 	}
@@ -189,9 +205,14 @@ func (d *Durable) load() error {
 		d.seq = rec.seq
 		applied++
 	}
+	var scanned, torn int64
+	for i, s := range segs {
+		scanned += int64(len(s.data))
+		torn += int64(len(s.data)) - goodSizes[i]
+	}
 	if d.obs != nil {
-		d.obs.ObserveReplay(time.Since(replayStart), applied, int64(len(walData))+d.snapSize)
-		if torn := int64(len(walData)) - goodSize; torn > 0 {
+		d.obs.ObserveReplay(time.Since(replayStart), applied, scanned+d.snapSize)
+		if torn > 0 {
 			d.obs.ObserveTornTail(torn)
 		}
 		d.obs.SetSnapshotSize(d.snapSize)
@@ -200,34 +221,83 @@ func (d *Durable) load() error {
 	if d.readOnly {
 		// Readers serve the intact prefix and leave the files exactly as
 		// found — a torn tail is the owner's to truncate.
-		d.walSize = int64(len(walData))
+		for _, s := range segs {
+			d.sealed = append(d.sealed, sealedSegment{index: s.index, size: int64(len(s.data))})
+		}
 		if d.obs != nil {
-			d.obs.SetWALState(d.walSize, d.seq)
+			d.obs.SetWALState(d.walBytesLocked(), d.seq)
 		}
 		return nil
 	}
-	if goodSize < int64(len(walMagic)) {
-		// Missing file, or a crash mid-creation tore the header: start a
-		// fresh log.
-		if err := d.writeFileSync(d.path(walName), walMagic); err != nil {
-			return fmt.Errorf("store: initialize wal: %w", err)
+	if len(segs) == 0 {
+		segs, goodSizes = []segment{{index: 0}}, []int64{0}
+	}
+	last := len(segs) - 1
+	for i, good := range goodSizes {
+		name := d.path(segmentName(segs[i].index))
+		switch {
+		case i == last && good < int64(len(walMagic)):
+			// Missing file, or a crash mid-creation tore the header: start
+			// the segment afresh.
+			if err := d.writeFileSync(name, walMagic); err != nil {
+				return fmt.Errorf("store: initialize wal: %w", err)
+			}
+			goodSizes[i] = int64(len(walMagic))
+		case good < int64(len(segs[i].data)):
+			if err := d.truncateSync(name, good); err != nil {
+				return fmt.Errorf("store: truncate torn wal tail: %w", err)
+			}
 		}
-		goodSize = int64(len(walMagic))
-	} else if goodSize < int64(len(walData)) {
-		if err := d.truncateSync(d.path(walName), goodSize); err != nil {
-			return fmt.Errorf("store: truncate torn wal tail: %w", err)
+		if i < last {
+			d.sealed = append(d.sealed, sealedSegment{index: segs[i].index, size: goodSizes[i]})
 		}
 	}
-	wal, err := d.fs.OpenFile(d.path(walName), os.O_WRONLY|os.O_APPEND, 0o644)
+	wal, err := d.fs.OpenFile(d.path(segmentName(segs[last].index)), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: open wal for append: %w", err)
 	}
 	d.wal = wal
-	d.walSize = goodSize
+	d.segIndex = segs[last].index
+	d.walSize = goodSizes[last]
 	if d.obs != nil {
-		d.obs.SetWALState(d.walSize, d.seq)
+		d.obs.SetWALState(d.walBytesLocked(), d.seq)
 	}
 	return nil
+}
+
+// readSegments reads every WAL segment in the data directory, oldest
+// first.
+func (d *Durable) readSegments() ([]segment, error) {
+	entries, err := d.fs.ReadDir(d.dir)
+	if err != nil {
+		return nil, fmt.Errorf("store: list data dir: %w", err)
+	}
+	var indexes []int
+	for _, e := range entries {
+		if i, ok := segmentIndex(e.Name()); ok {
+			indexes = append(indexes, i)
+		}
+	}
+	slices.Sort(indexes)
+	segs := make([]segment, len(indexes))
+	for k, i := range indexes {
+		data, err := d.readFile(d.path(segmentName(i)))
+		if err != nil {
+			return nil, fmt.Errorf("store: read %s: %w", segmentName(i), err)
+		}
+		segs[k] = segment{index: i, data: data}
+	}
+	return segs, nil
+}
+
+// walBytesLocked is the log's size on disk: every live segment, which
+// is what a restart would replay. Caller holds mu.
+func (d *Durable) walBytesLocked() int64 {
+	n := d.walSize
+	for _, s := range d.sealed {
+		n += s.size
+	}
+	return n
 }
 
 func (d *Durable) path(name string) string { return path.Join(d.dir, name) }
@@ -352,13 +422,16 @@ func (d *Durable) commitLocked(o *op) error {
 	if d.obs != nil {
 		d.obs.ObserveAppend(time.Since(writeStart)-syncDur, syncDur, len(frame))
 		d.obs.ObserveCommit(o.tenant, opName(o.kind))
-		d.obs.SetWALState(d.walSize, d.seq)
+		d.obs.SetWALState(d.walBytesLocked(), d.seq)
 	}
-	if d.walSize >= d.compactBytes {
-		// Compaction failure is not a commit failure: the record above
-		// is durable. compactLocked marks the store failed only when it
-		// cannot keep appending to a healthy log.
-		_ = d.compactLocked()
+	if d.walSize >= d.compactBytes && !d.compacting {
+		// Compaction failure is not a commit failure: the record above is
+		// durable, and a failed rotation or snapshot leaves the log as it
+		// was, correct and writable.
+		if c, err := d.rotateLocked(); err == nil {
+			// The outcome reaches the observer; Close waits for the goroutine.
+			go func() { _ = d.compact(c) }()
+		}
 	}
 	return nil
 }
@@ -382,89 +455,156 @@ func (d *Durable) rollbackAppend(cause error) error {
 	return fmt.Errorf("%w: append: %v", ErrUnavailable, cause)
 }
 
-// Compact forces snapshot compaction regardless of the WAL size.
+// Compact forces snapshot compaction regardless of the WAL size. It
+// waits for any compaction already in flight, then rotates and writes
+// the snapshot on the caller's goroutine.
 func (d *Durable) Compact() error {
 	d.mu.Lock()
-	defer d.mu.Unlock()
+	for d.compacting {
+		d.idle.Wait()
+	}
 	if err := d.writableLocked(); err != nil {
+		d.mu.Unlock()
 		return err
 	}
-	return d.compactLocked()
+	c, err := d.rotateLocked()
+	d.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return d.compact(c)
 }
 
-// compactLocked writes the snapshot, then restarts the WAL:
-//
-//  1. encode the full state at the current sequence number into
-//     snapshot.tmp, fsync, rename over the snapshot, fsync the dir;
-//  2. create a fresh header-only wal.tmp, fsync, rename over the wal,
-//     fsync the dir, and swing the append handle to the new file.
-//
-// The snapshot must be durable before the log restarts — a crash
-// between the two renames leaves the new snapshot with the old log,
-// which replay handles by skipping records the snapshot covers. A
-// failure in step 1, or in step 2 before the rename, just keeps the
-// old (correct) log; only losing the append handle marks the store
-// failed.
-func (d *Durable) compactLocked() error {
-	if d.obs == nil {
-		return d.doCompactLocked()
-	}
+// compaction is one snapshot in flight: the image of the state at seq
+// and the sealed segments whose records the snapshot covers.
+type compaction struct {
+	seq     uint64
+	image   *Memory
+	covered []sealedSegment
+	start   time.Time
+}
+
+// rotateLocked is the part of compaction that runs under the lock: seal
+// the open segment, create, fsync and open the next one, and take the
+// image of the state as of the seal. The new append handle opens before
+// the old one closes, so no failure here can leave the store without
+// one: a failed rotation keeps appending to the old segment. On success
+// the store is marked compacting until compact finishes with the
+// returned job. A failed rotation is reported as a failed compaction.
+func (d *Durable) rotateLocked() (*compaction, error) {
 	start := time.Now()
-	err := d.doCompactLocked()
-	d.obs.ObserveCompaction(time.Since(start), d.snapSize, err)
-	d.obs.SetSnapshotSize(d.snapSize)
-	d.obs.SetWALState(d.walSize, d.seq)
-	if d.failed != nil {
-		d.obs.SetReadOnly(true)
+	next, err := d.openNextSegment()
+	if err != nil {
+		if d.obs != nil {
+			d.obs.ObserveCompaction(time.Since(start), d.snapSize, err)
+		}
+		return nil, err
+	}
+	// The sealed segment's bytes are already durable (synced per commit
+	// or by openNextSegment), so a failed close loses nothing.
+	_ = d.wal.Close()
+	d.sealed = append(d.sealed, sealedSegment{index: d.segIndex, size: d.walSize})
+	d.wal = next
+	d.segIndex++
+	d.walSize = int64(len(walMagic))
+	d.compacting = true
+	if d.obs != nil {
+		d.obs.SetWALState(d.walBytesLocked(), d.seq)
+	}
+	return &compaction{seq: d.seq, image: d.mem.image(), covered: slices.Clone(d.sealed), start: start}, nil
+}
+
+// openNextSegment makes the open segment durable, then creates segment
+// segIndex+1 holding just the magic, fsyncs it and the directory, and
+// returns it open for append. A segment is always fsync'd before its
+// successor exists, which is what lets replay treat a torn frame as the
+// end of the whole log.
+func (d *Durable) openNextSegment() (File, error) {
+	if !d.syncWrites {
+		if err := d.wal.Sync(); err != nil {
+			return nil, fmt.Errorf("store: sync wal before rotation: %w", err)
+		}
+	}
+	name := d.path(segmentName(d.segIndex + 1))
+	if err := d.writeFileSync(name, walMagic); err != nil {
+		_ = d.fs.Remove(name)
+		return nil, fmt.Errorf("store: create wal segment: %w", err)
+	}
+	if err := d.fs.SyncDir(d.dir); err != nil {
+		_ = d.fs.Remove(name)
+		return nil, fmt.Errorf("store: sync data dir: %w", err)
+	}
+	f, err := d.fs.OpenFile(name, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		_ = d.fs.Remove(name)
+		return nil, fmt.Errorf("store: open wal segment: %w", err)
+	}
+	return f, nil
+}
+
+// compact is the part of compaction that runs outside the lock: encode
+// the image, write snapshot.tmp, fsync, rename it over the snapshot,
+// fsync the directory, and delete the covered segments oldest first.
+// Then, under the lock, it records the outcome and clears the
+// in-flight mark. A crash or failure anywhere leaves a correct log:
+// until the rename the old snapshot and every segment are intact, and
+// after it replay skips the records of any covered segment left behind;
+// the next compaction deletes those.
+func (d *Durable) compact(c *compaction) error {
+	size, err := d.writeSnapshot(c)
+	published := err == nil
+	removed := 0
+	if published {
+		for _, s := range c.covered {
+			if rerr := d.fs.Remove(d.path(segmentName(s.index))); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
+				err = fmt.Errorf("store: delete compacted wal segment: %w", rerr)
+				break
+			}
+			removed++
+		}
+	}
+	elapsed := time.Since(c.start)
+
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if published {
+		// The deleted segments are the front of the sealed list: no
+		// rotation runs while a compaction is in flight.
+		d.snapSize = size
+		d.sealed = d.sealed[removed:]
+	}
+	d.compacting = false
+	d.idle.Broadcast()
+	if d.obs != nil {
+		d.obs.ObserveCompaction(elapsed, d.snapSize, err)
+		d.obs.SetSnapshotSize(d.snapSize)
+		d.obs.SetWALState(d.walBytesLocked(), d.seq)
 	}
 	return err
 }
 
-func (d *Durable) doCompactLocked() error {
-	img := encodeSnapshot(d.seq, encodeState(d.mem))
+// writeSnapshot encodes the image and publishes it as the snapshot,
+// returning its size.
+func (d *Durable) writeSnapshot(c *compaction) (int64, error) {
+	img := encodeSnapshot(c.seq, c.image)
 	// A snapshot frame past the replay limit would make the store
 	// unopenable; keep the (growing but correct) log instead.
 	if payload := len(img) - len(snapMagic) - frameHeaderSize; payload > maxFrameSize {
-		return fmt.Errorf("store: snapshot payload of %d bytes exceeds the %d-byte frame limit", payload, maxFrameSize)
+		return 0, fmt.Errorf("store: snapshot payload of %d bytes exceeds the %d-byte frame limit", payload, maxFrameSize)
 	}
 	snapTmp := d.path(snapName + tmpExt)
 	if err := d.writeFileSync(snapTmp, img); err != nil {
 		_ = d.fs.Remove(snapTmp)
-		return fmt.Errorf("store: write snapshot: %w", err)
+		return 0, fmt.Errorf("store: write snapshot: %w", err)
 	}
 	if err := d.fs.Rename(snapTmp, d.path(snapName)); err != nil {
 		_ = d.fs.Remove(snapTmp)
-		return fmt.Errorf("store: publish snapshot: %w", err)
+		return 0, fmt.Errorf("store: publish snapshot: %w", err)
 	}
 	if err := d.fs.SyncDir(d.dir); err != nil {
-		return fmt.Errorf("store: sync data dir: %w", err)
+		return 0, fmt.Errorf("store: sync data dir: %w", err)
 	}
-	d.snapSize = int64(len(img))
-
-	walTmp := d.path(walName + tmpExt)
-	if err := d.writeFileSync(walTmp, walMagic); err != nil {
-		_ = d.fs.Remove(walTmp)
-		return fmt.Errorf("store: restart wal: %w", err)
-	}
-	if err := d.fs.Rename(walTmp, d.path(walName)); err != nil {
-		_ = d.fs.Remove(walTmp)
-		return fmt.Errorf("store: restart wal: %w", err)
-	}
-	if err := d.fs.SyncDir(d.dir); err != nil {
-		return fmt.Errorf("store: sync data dir: %w", err)
-	}
-	fresh, err := d.fs.OpenFile(d.path(walName), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		// The old handle points at the replaced (unlinked) file; nothing
-		// appended there would ever be replayed. Refuse further writes.
-		d.failed = fmt.Errorf("reopen wal after compaction: %v", err)
-		return fmt.Errorf("%w: %v", ErrUnavailable, d.failed)
-	}
-	old := d.wal
-	d.wal = fresh
-	d.walSize = int64(len(walMagic))
-	_ = old.Close()
-	return nil
+	return int64(len(img)), nil
 }
 
 // PutDataset implements Store.
@@ -564,14 +704,15 @@ func (d *Durable) Health() Health {
 	if d.failed != nil {
 		h.Err = d.failed.Error()
 	}
-	h.WALBytes = d.walSize
+	h.WALBytes = d.walBytesLocked()
 	h.WALSequence = d.seq
 	h.SnapshotBytes = d.snapSize
 	return h
 }
 
-// Close implements Store: flush the log, release the handle, and drop
-// the directory lock. The store is unusable afterwards.
+// Close implements Store: wait for an in-flight compaction, flush the
+// log, release the handle, and drop the directory lock. The store is
+// unusable afterwards.
 func (d *Durable) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -579,6 +720,9 @@ func (d *Durable) Close() error {
 		return nil
 	}
 	d.closed = true
+	for d.compacting {
+		d.idle.Wait()
+	}
 	var err error
 	if d.wal != nil {
 		if d.failed == nil && !d.syncWrites {

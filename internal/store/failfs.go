@@ -29,11 +29,17 @@ import (
 //     successful Sync, modeling a volatile write cache that lost
 //     everything fsync had not yet forced down.
 //
-// Renames are modeled as atomic and immediately durable (the backend
-// additionally fsyncs the directory on the real filesystem; FailFS
-// does not model directory-entry loss). Sync and Rename calls can also
-// be made to fail outright via FailSyncAfter / FailRenameAfter to
-// exercise the error paths without a crash.
+// CrashAtOp arms the cut by operation count instead: the nth call that
+// can change what the disk holds (a create or truncating open, Write,
+// Sync, Truncate, Rename, Remove, SyncDir) fails with ErrCrashed before
+// it takes effect, so a sweep over n cuts power between every pair of
+// consecutive operations, including those that write no bytes.
+//
+// Renames and removes are modeled as atomic and immediately durable
+// (the backend additionally fsyncs the directory on the real
+// filesystem; FailFS does not model directory-entry loss). Sync and
+// Rename calls can also be made to fail outright via FailSyncAfter /
+// FailRenameAfter to exercise the error paths without a crash.
 type FailFS struct {
 	mu    sync.Mutex
 	files map[string]*memNode
@@ -42,9 +48,11 @@ type FailFS struct {
 	// CrashAfterBytes arms the power cut: the budget of bytes that may
 	// still be written. Negative = disarmed.
 	crashBudget int64
+	crashAtOp   int // cut power at this mutating call (1-based); 0 = off
 	crashed     bool
 	dropUnsync  bool
 	written     int64 // cumulative bytes handed to Write
+	ops         int   // mutating calls so far
 
 	failSyncAfter   int // fail the Nth Sync call (1-based); 0 = off
 	failSyncFrom    int // fail every Sync call from the Nth on (1-based); 0 = off
@@ -92,6 +100,17 @@ func (f *FailFS) CrashAfterBytes(n int64) {
 	f.crashBudget = n
 }
 
+// CrashAtOp arms the power cut at the nth (1-based) mutating call from
+// now; 0 disarms.
+func (f *FailFS) CrashAtOp(n int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.crashAtOp = n
+	if n > 0 {
+		f.crashAtOp += f.ops
+	}
+}
+
 // DropUnsynced selects the harsher post-crash model: bytes not covered
 // by a successful Sync are lost.
 func (f *FailFS) DropUnsynced(drop bool) {
@@ -135,6 +154,14 @@ func (f *FailFS) BytesWritten() int64 {
 	return f.written
 }
 
+// OpsDone reports the mutating calls made so far; a dry run uses it to
+// size the CrashAtOp space.
+func (f *FailFS) OpsDone() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.ops
+}
+
 // Crashed reports whether the power cut has fired.
 func (f *FailFS) Crashed() bool {
 	f.mu.Lock()
@@ -171,6 +198,21 @@ func (f *FailFS) checkAlive() error {
 	return nil
 }
 
+// mutate counts one call that can change what the disk holds and fires
+// the CrashAtOp cut when this is the armed call; the call must then
+// fail without effect. Caller holds mu.
+func (f *FailFS) mutate() error {
+	if err := f.checkAlive(); err != nil {
+		return err
+	}
+	f.ops++
+	if f.crashAtOp > 0 && f.ops == f.crashAtOp {
+		f.crashed = true
+		return ErrCrashed
+	}
+	return nil
+}
+
 type failFile struct {
 	fs     *FailFS
 	name   string
@@ -191,6 +233,11 @@ func (f *FailFS) OpenFile(name string, flag int, _ fs.FileMode) (File, error) {
 	}
 	name = norm(name)
 	node, ok := f.files[name]
+	if (!ok && flag&os.O_CREATE != 0) || (ok && flag&os.O_TRUNC != 0) {
+		if err := f.mutate(); err != nil {
+			return nil, err
+		}
+	}
 	switch {
 	case !ok && flag&os.O_CREATE == 0:
 		return nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrNotExist}
@@ -231,7 +278,7 @@ func (ff *failFile) Read(p []byte) (int, error) {
 func (ff *failFile) Write(p []byte) (int, error) {
 	ff.fs.mu.Lock()
 	defer ff.fs.mu.Unlock()
-	if err := ff.fs.checkAlive(); err != nil {
+	if err := ff.fs.mutate(); err != nil {
 		return 0, err
 	}
 	if ff.closed || ff.rdonly {
@@ -265,7 +312,7 @@ func (ff *failFile) Write(p []byte) (int, error) {
 func (ff *failFile) Sync() error {
 	ff.fs.mu.Lock()
 	defer ff.fs.mu.Unlock()
-	if err := ff.fs.checkAlive(); err != nil {
+	if err := ff.fs.mutate(); err != nil {
 		return err
 	}
 	ff.fs.syncCalls++
@@ -288,7 +335,7 @@ func (f *FailFS) syncShouldFail() bool {
 func (ff *failFile) Truncate(size int64) error {
 	ff.fs.mu.Lock()
 	defer ff.fs.mu.Unlock()
-	if err := ff.fs.checkAlive(); err != nil {
+	if err := ff.fs.mutate(); err != nil {
 		return err
 	}
 	if size < 0 || size > int64(len(ff.node.data)) {
@@ -322,7 +369,7 @@ func (ff *failFile) Close() error {
 func (f *FailFS) Rename(oldpath, newpath string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.checkAlive(); err != nil {
+	if err := f.mutate(); err != nil {
 		return err
 	}
 	f.renameCalls++
@@ -343,7 +390,7 @@ func (f *FailFS) Rename(oldpath, newpath string) error {
 func (f *FailFS) Remove(name string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.checkAlive(); err != nil {
+	if err := f.mutate(); err != nil {
 		return err
 	}
 	name = norm(name)
@@ -443,7 +490,7 @@ func (f *FailFS) MkdirAll(string, fs.FileMode) error {
 func (f *FailFS) SyncDir(string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.checkAlive(); err != nil {
+	if err := f.mutate(); err != nil {
 		return err
 	}
 	f.syncCalls++

@@ -30,11 +30,32 @@ func seedWALImages() [][]byte {
 		}
 		seq++
 		img = append(img, encodeWALRecord(seq, o)...)
+		if seq == 3 {
+			// Rotate: the remaining records go to a second segment.
+			img = append(img, walMagic...)
+		}
 	}
 	out = append(out, img)
 	return out
 }
 
+// splitSegments cuts a fuzz input into a segment set: a new segment
+// starts at every occurrence of the WAL magic after offset 0.
+func splitSegments(data []byte) []segment {
+	var segs []segment
+	for start := 0; ; {
+		next := bytes.Index(data[min(start+1, len(data)):], walMagic)
+		if next < 0 {
+			return append(segs, segment{index: len(segs), data: data[start:]})
+		}
+		end := min(start+1, len(data)) + next
+		segs = append(segs, segment{index: len(segs), data: data[start:end]})
+		start = end
+	}
+}
+
+// FuzzWALReplay fuzzes replay of a segment set (the input split at each
+// WAL magic): error or a clean prefix, never a panic.
 func FuzzWALReplay(f *testing.F) {
 	for _, img := range seedWALImages() {
 		f.Add(img)
@@ -48,19 +69,37 @@ func FuzzWALReplay(f *testing.F) {
 		}
 	}
 	f.Add([]byte("DBSHWAL1"))
+	f.Add([]byte("DBSHWAL1DBSHWAL1"))
 	f.Add([]byte("DBSHSNP1 wrong file kind"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, goodSize, err := replayWAL(data)
+		segs := splitSegments(data)
+		recs, goodSizes, err := replaySegments(segs)
+		if len(segs) == 1 {
+			// One segment is the single-file log: replay must agree.
+			recs1, good1, err1 := replayWAL(data)
+			if (err == nil) != (err1 == nil) || len(recs1) != len(recs) || (err == nil && good1 != goodSizes[0]) {
+				t.Fatalf("one-segment replay differs from replayWAL: %d/%d recs, err %v/%v", len(recs), len(recs1), err, err1)
+			}
+		}
 		if err != nil {
 			return
 		}
-		if goodSize < 0 || goodSize > int64(len(data)) {
-			t.Fatalf("goodSize %d outside [0, %d]", goodSize, len(data))
-		}
-		if len(recs) > 0 && goodSize < int64(len(walMagic)) {
-			t.Fatalf("%d records decoded from a file shorter than the header", len(recs))
+		torn := false
+		for i, s := range segs {
+			good := goodSizes[i]
+			if good < 0 || good > int64(len(s.data)) {
+				t.Fatalf("segment %d: goodSize %d outside [0, %d]", s.index, good, len(s.data))
+			}
+			segRecs, _, _ := replayWAL(s.data)
+			if torn && len(segRecs) > 0 {
+				t.Fatalf("segment %d: records accepted after a torn segment", s.index)
+			}
+			if len(segRecs) > 0 && good < int64(len(walMagic)) {
+				t.Fatalf("segment %d: %d records decoded from a file shorter than the header", s.index, len(segRecs))
+			}
+			torn = torn || good < int64(len(s.data))
 		}
 		// Whatever replayed must apply cleanly and re-encode: the ops
 		// passed the same validation the write path uses.
@@ -77,11 +116,20 @@ func FuzzWALReplay(f *testing.F) {
 		if _, err := decodeState(state); err != nil {
 			t.Fatalf("replayed state does not round-trip: %v", err)
 		}
-		// Replay is a prefix: truncating to goodSize must reproduce it.
-		recs2, goodSize2, err := replayWAL(data[:goodSize])
-		if err != nil || goodSize2 != goodSize || len(recs2) != len(recs) {
-			t.Fatalf("replay of truncated-to-good file differs: %d/%d recs, size %d/%d, err %v",
-				len(recs2), len(recs), goodSize2, goodSize, err)
+		// Replay is a prefix: truncating every segment to its good size
+		// must reproduce it.
+		cut := make([]segment, len(segs))
+		for i, s := range segs {
+			cut[i] = segment{index: s.index, data: s.data[:goodSizes[i]]}
+		}
+		recs2, goodSizes2, err := replaySegments(cut)
+		if err != nil || len(recs2) != len(recs) {
+			t.Fatalf("replay of truncated-to-good segments differs: %d/%d recs, err %v", len(recs2), len(recs), err)
+		}
+		for i := range cut {
+			if goodSizes2[i] != goodSizes[i] {
+				t.Fatalf("segment %d: good size %d after truncation, want %d", i, goodSizes2[i], goodSizes[i])
+			}
 		}
 	})
 }
@@ -95,8 +143,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		o.apply(m)
 	}
-	f.Add(encodeSnapshot(12, encodeState(m)))
-	f.Add(encodeSnapshot(0, encodeState(NewMemory())))
+	f.Add(encodeSnapshot(12, m))
+	f.Add(encodeSnapshot(0, NewMemory()))
 	f.Add([]byte("DBSHSNP1"))
 	f.Add([]byte{})
 
@@ -108,7 +156,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		// Anything accepted must be internally valid: every model passes
 		// validation (checked inside decode) and the state re-encodes to
 		// a decodable image with the same sequence floor.
-		img := encodeSnapshot(seq, encodeState(mem))
+		img := encodeSnapshot(seq, mem)
 		mem2, seq2, err := decodeSnapshot(img)
 		if err != nil {
 			t.Fatalf("accepted snapshot does not round-trip: %v", err)

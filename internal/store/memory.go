@@ -2,6 +2,8 @@ package store
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -56,6 +58,32 @@ func (m *Memory) tenant(name string) *tenantState {
 		m.tenantOrder = append(m.tenantOrder, name)
 	}
 	return ts
+}
+
+// image returns a point-in-time copy of the state's structure: the
+// order slices and the pointer maps. The datasets and models themselves
+// are shared, because nothing mutates them once stored — datasets by
+// the Store contract, models because every apply installs a fresh
+// clone. The slices are copied, not aliased: applyReplaceModels reuses
+// modelOrder's backing array. Snapshot compaction takes the image under
+// the durable store's lock and encodes it outside.
+func (m *Memory) image() *Memory {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	out := &Memory{
+		tenants:     make(map[string]*tenantState, len(m.tenants)),
+		tenantOrder: slices.Clone(m.tenantOrder),
+	}
+	for name, ts := range m.tenants {
+		out.tenants[name] = &tenantState{
+			nextID:     ts.nextID,
+			dsOrder:    slices.Clone(ts.dsOrder),
+			datasets:   maps.Clone(ts.datasets),
+			modelOrder: slices.Clone(ts.modelOrder),
+			models:     maps.Clone(ts.models),
+		}
+	}
+	return out
 }
 
 // peekDatasetID returns the id the next PutDataset for the tenant will

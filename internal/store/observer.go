@@ -10,10 +10,12 @@ import "time"
 // observability layer — the interface speaks only std types, so any
 // metrics backend can implement it.
 //
-// Methods are called with the store's mutex held, on the commit path:
-// implementations must be fast, non-blocking, and must not call back
-// into the store. A nil Observer (the default) costs the commit path
-// only a few nil checks.
+// Methods are called with the store's mutex held, mostly on the commit
+// path. ObserveCompaction for a finished snapshot, and the size reports
+// that follow it, arrive from the background compaction goroutine,
+// which takes the mutex to make them. Implementations must be fast,
+// non-blocking, and must not call back into the store. A nil Observer
+// (the default) costs the commit path only a few nil checks.
 type Observer interface {
 	// ObserveAppend records one committed WAL append: time writing the
 	// frame, time in fsync (zero when sync writes are off), frame size.
@@ -28,15 +30,19 @@ type Observer interface {
 	// ObserveReplay records the WAL replay performed at open: duration,
 	// records applied, bytes scanned.
 	ObserveReplay(d time.Duration, records int, bytes int64)
-	// ObserveCompaction records one snapshot compaction attempt; on
-	// success snapshotBytes is the published snapshot size.
+	// ObserveCompaction records one snapshot compaction attempt, from
+	// the log rotation through the snapshot's publication and the
+	// deletion of the segments it covers; snapshotBytes is the current
+	// snapshot size (the new one on success). A failed rotation is
+	// reported from the commit that attempted it.
 	ObserveCompaction(d time.Duration, snapshotBytes int64, err error)
 	// ObserveTornTail records torn bytes truncated from the WAL at open.
 	ObserveTornTail(bytes int64)
 	// ObserveTooLarge records a write rejected with ErrTooLarge.
 	ObserveTooLarge()
-	// SetWALState reports the WAL size and last committed sequence
-	// number after every change (open, commit, compaction).
+	// SetWALState reports the WAL size — every live segment, which is
+	// what a restart would replay — and the last committed sequence
+	// number after every change (open, commit, rotation, compaction).
 	SetWALState(sizeBytes int64, seq uint64)
 	// SetSnapshotSize reports the current snapshot size (0 when none).
 	SetSnapshotSize(bytes int64)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"sync"
@@ -260,6 +261,7 @@ func TestObserverCompaction(t *testing.T) {
 	if _, err := d.PutDataset("a", testDataset(t, 4, 1)); err != nil {
 		t.Fatalf("PutDataset: %v", err)
 	}
+	waitCompaction(d)
 	got := obs.snapshot()
 	if got.compactions != 1 || got.compactErrs != 0 {
 		t.Errorf("compactions = %d (errs %d), want 1 clean compaction", got.compactions, got.compactErrs)
@@ -269,6 +271,83 @@ func TestObserverCompaction(t *testing.T) {
 	}
 	if got.walSize != int64(len(walMagic)) {
 		t.Errorf("post-compaction WAL size = %d, want the bare header (%d)", got.walSize, len(walMagic))
+	}
+}
+
+// TestWALBytesCountsLiveSegments crosses a rotation whose background
+// snapshot fails and then one whose snapshot finishes. WAL bytes — in
+// Health, in the observer, and in the next open's replay — must always
+// be the size of every live segment, which is what a restart replays;
+// the failure must leave the store writable, and the next snapshot must
+// delete every segment it covers, the failed round's included.
+func TestWALBytesCountsLiveSegments(t *testing.T) {
+	ffs := NewFailFS()
+	obs := &recordingObserver{}
+	d, err := OpenDurable("data", WithFS(ffs), WithObserver(obs), WithCompactEvery(1))
+	if err != nil {
+		t.Fatalf("OpenDurable: %v", err)
+	}
+	check := func(stage string, wantSegments int) {
+		t.Helper()
+		var live int64
+		segments := 0
+		for name, n := range ffs.files {
+			if _, ok := segmentIndex(strings.TrimPrefix(name, "data/")); ok {
+				live += int64(len(n.data))
+				segments++
+			}
+		}
+		if segments != wantSegments {
+			t.Fatalf("%s: %d live segments, want %d", stage, segments, wantSegments)
+		}
+		h := d.Health()
+		if h.WALBytes != live || !h.Writable() {
+			t.Errorf("%s: Health = %+v, want writable with WALBytes = %d (all live segments)", stage, h, live)
+		}
+		if got := obs.snapshot().walSize; got != live {
+			t.Errorf("%s: observed WAL size = %d, want %d", stage, got, live)
+		}
+	}
+
+	// The first commit rotates; its snapshot fails to publish, so the
+	// sealed segment stays live next to the new one.
+	ffs.FailRenameAfter(1)
+	if _, err := d.PutDataset("a", testDataset(t, 4, 1)); err != nil {
+		t.Fatalf("PutDataset: %v", err)
+	}
+	waitCompaction(d)
+	if got := obs.snapshot(); got.compactions != 1 || got.compactErrs != 1 {
+		t.Fatalf("compactions = %d (errs %d), want 1 failed", got.compactions, got.compactErrs)
+	}
+	check("after a failed snapshot", 2)
+
+	// The next commit lands in the new segment, rotates again, and this
+	// snapshot covers both older segments.
+	if err := d.PutModel("a", testModel("Lock Contention", 1)); err != nil {
+		t.Fatalf("PutModel after a failed compaction: %v", err)
+	}
+	waitCompaction(d)
+	if got := obs.snapshot(); got.compactions != 2 || got.compactErrs != 1 {
+		t.Fatalf("compactions = %d (errs %d), want 1 failed then 1 clean", got.compactions, got.compactErrs)
+	}
+	check("after a finished snapshot", 1)
+	want := encodeState(d.mem)
+	walBytes, snapBytes := d.Health().WALBytes, d.Health().SnapshotBytes
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	obs2 := &recordingObserver{}
+	d2, err := OpenDurable("data", WithFS(ffs), WithObserver(obs2))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer d2.Close()
+	if got := obs2.snapshot(); got.replayBytes != walBytes+snapBytes {
+		t.Errorf("replay scanned %d bytes, want WAL %d + snapshot %d", got.replayBytes, walBytes, snapBytes)
+	}
+	if got := encodeState(d2.mem); !bytes.Equal(got, want) {
+		t.Fatal("state differs after reopen")
 	}
 }
 

@@ -9,9 +9,9 @@
 //   - Memory: the in-process registry the server always had, refactored
 //     behind the interface. It doubles as the oracle in the
 //     crash-injection battery.
-//   - Durable: Memory as the materialized state plus a write-ahead
-//     append log with CRC-framed records, fsync'd on commit and
-//     replayed on open, compacted periodically into an atomically
+//   - Durable: Memory as the materialized state plus a segmented
+//     write-ahead log with CRC-framed records, fsync'd on commit and
+//     replayed on open, compacted in the background into an atomically
 //     renamed snapshot (see DESIGN.md §13 for the formats and the
 //     fsync contract).
 //
@@ -37,7 +37,8 @@ const DefaultTenant = "default"
 const MaxTenantLen = 128
 
 // ErrUnavailable is wrapped by every write error after the durable
-// backend has lost its log (failed append, failed compaction): the
+// backend has lost its log (a failed append, and every write after
+// one whose rollback failed too; a failed compaction never does): the
 // in-memory state is still served, but nothing further can be made
 // durable, so writes are refused rather than silently diverging from
 // disk. The server maps it to 503 store_unavailable.
@@ -113,7 +114,7 @@ type Health struct {
 	Backend       string `json:"backend"` // "memory" or "durable"
 	ReadOnly      bool   `json:"read_only"`
 	Err           string `json:"error,omitempty"` // first unrecoverable log error
-	WALBytes      int64  `json:"wal_bytes"`
+	WALBytes      int64  `json:"wal_bytes"`       // every live WAL segment: what a restart replays
 	WALSequence   uint64 `json:"wal_sequence"`
 	SnapshotBytes int64  `json:"snapshot_bytes"`
 	Tenants       int    `json:"tenants"`

@@ -7,6 +7,7 @@ import (
 	"os"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"dbsherlock/internal/causal"
@@ -236,10 +237,12 @@ func TestDurableCompactionRoundTrip(t *testing.T) {
 		if _, err := d.PutDataset("a", testDataset(t, 4, int64(i))); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
+		waitCompaction(d)
 	}
 	if err := d.PutModel("a", testModel("net slow", 1)); err != nil {
 		t.Fatal(err)
 	}
+	waitCompaction(d)
 	if d.walSize >= 512+int64(len(walMagic)) {
 		// Every put is bigger than the threshold, so each commit should
 		// have compacted: the live WAL stays near-empty.
@@ -278,6 +281,58 @@ func TestDurableExplicitCompact(t *testing.T) {
 	defer d2.Close()
 	if got := encodeState(d2.mem); !bytes.Equal(got, want) {
 		t.Fatal("state differs after compact + append + reopen")
+	}
+}
+
+// TestCompactAndCloseWaitForInFlightCompaction: a commit that crosses
+// the threshold leaves its snapshot to the compaction goroutine.
+// Compact must wait for that one and then compact synchronously, and
+// Close must not return while a snapshot is still being written.
+func TestCompactAndCloseWaitForInFlightCompaction(t *testing.T) {
+	ffs := NewFailFS()
+	d := openFail(t, ffs, WithCompactEvery(1))
+	liveSegments := func() (names []string) {
+		for name := range ffs.files {
+			if _, ok := segmentIndex(strings.TrimPrefix(name, "data/")); ok {
+				names = append(names, name)
+			}
+		}
+		return names
+	}
+	snapshotSeq := func() uint64 {
+		t.Helper()
+		n, ok := ffs.files["data/"+snapName]
+		if !ok {
+			t.Fatal("no snapshot published")
+		}
+		_, seq, err := decodeSnapshot(n.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seq
+	}
+
+	if _, err := d.PutDataset("a", testDataset(t, 4, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatalf("Compact with a compaction in flight: %v", err)
+	}
+	if h := d.Health(); h.WALBytes != int64(len(walMagic)) || h.SnapshotBytes == 0 {
+		t.Fatalf("after Compact: Health = %+v, want a snapshot and a bare open segment", h)
+	}
+	if segs := liveSegments(); len(segs) != 1 || snapshotSeq() != 1 {
+		t.Fatalf("after Compact: segments %v, snapshot seq %d; want one segment and seq 1", segs, snapshotSeq())
+	}
+
+	if err := d.PutModel("a", testModel("in flight at close", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if segs := liveSegments(); len(segs) != 1 || snapshotSeq() != 2 {
+		t.Fatalf("after Close: segments %v, snapshot seq %d; want one segment and seq 2", segs, snapshotSeq())
 	}
 }
 

@@ -4,11 +4,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"strconv"
+	"strings"
 )
 
-// On-disk framing. The WAL is a magic header followed by CRC-framed
-// records; the snapshot is a magic header followed by one CRC-framed
-// payload. Frames are
+// On-disk framing. The WAL is a sequence of segment files, each a magic
+// header followed by CRC-framed records; the snapshot is a magic header
+// followed by one CRC-framed payload. Frames are
 //
 //	u32 length | u32 crc32c(payload) | payload
 //
@@ -37,11 +39,15 @@ const maxFrameSize = 1 << 30
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame appends one CRC-framed payload to buf.
-func appendFrame(buf, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
-	return append(buf, payload...)
+// sealFrame fills in the frame header reserved at buf[off:], framing
+// everything after it to the end of buf as the payload. Encoders leave
+// the header's bytes in place and encode the payload straight after, so
+// a frame is never copied to get its header.
+func sealFrame(buf []byte, off int) []byte {
+	payload := buf[off+frameHeaderSize:]
+	binary.LittleEndian.PutUint32(buf[off:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[off+4:], crc32.Checksum(payload, castagnoli))
+	return buf
 }
 
 // nextFrame parses the frame starting at off. ok is false when the
@@ -69,12 +75,13 @@ type walRecord struct {
 	op  *op
 }
 
-// encodeWALRecord builds the full frame for an op at a sequence number.
+// encodeWALRecord builds the full frame for an op at a sequence number
+// in one exactly sized buffer.
 func encodeWALRecord(seq uint64, o *op) []byte {
-	payload := make([]byte, 0, 8+64)
-	payload = binary.LittleEndian.AppendUint64(payload, seq)
-	payload = append(payload, encodeOp(o)...)
-	return appendFrame(nil, payload)
+	e := encoder{buf: make([]byte, frameHeaderSize, frameHeaderSize+8+opSize(o))}
+	e.u64(seq)
+	e.op(o)
+	return sealFrame(e.buf, 0)
 }
 
 // replayWAL parses a complete WAL image (header included). It returns
@@ -115,15 +122,89 @@ func replayWAL(data []byte) (recs []walRecord, goodSize int64, err error) {
 	}
 }
 
+// segment is one WAL file as replay reads it.
+type segment struct {
+	index int
+	data  []byte
+}
+
+// segmentName names the WAL segment with the given index. A store that
+// never compacted has only segment 0, "wal" (the single-file layout of
+// earlier versions, which therefore opens unchanged); each rotation
+// opens the next index, "wal.1", "wal.2", and so on.
+func segmentName(index int) string {
+	if index == 0 {
+		return walName
+	}
+	return walName + "." + strconv.Itoa(index)
+}
+
+// segmentIndex parses a segment file name; ok is false for any other
+// file in the data directory.
+func segmentIndex(name string) (index int, ok bool) {
+	if name == walName {
+		return 0, true
+	}
+	rest, ok := strings.CutPrefix(name, walName+".")
+	if !ok {
+		return 0, false
+	}
+	i, err := strconv.Atoi(rest)
+	if err != nil || i <= 0 || strconv.Itoa(i) != rest {
+		return 0, false
+	}
+	return i, true
+}
+
+// replaySegments parses a log's segments, oldest first. It returns the
+// records of the log's intact prefix and, per segment, the offset that
+// segment should be truncated to. Every segment but the newest was
+// fsync'd before its successor was created, so the log ends at the
+// first torn frame: a record in any later segment is corruption, and so
+// is a sequence number that does not rise across segments.
+func replaySegments(segs []segment) (recs []walRecord, goodSizes []int64, err error) {
+	goodSizes = make([]int64, len(segs))
+	torn := ""
+	for i, s := range segs {
+		name := segmentName(s.index)
+		r, good, err := replayWAL(s.data)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%w (in %s)", err, name)
+		}
+		if len(r) > 0 {
+			if torn != "" {
+				return nil, nil, fmt.Errorf("store: %s holds records after the torn tail of %s", name, torn)
+			}
+			if n := len(recs); n > 0 && r[0].seq <= recs[n-1].seq {
+				return nil, nil, fmt.Errorf("store: wal sequence went backwards from %d to %d at the start of %s",
+					recs[n-1].seq, r[0].seq, name)
+			}
+		}
+		if recs == nil {
+			recs = r // the common one-segment log replays without a copy
+		} else {
+			recs = append(recs, r...)
+		}
+		goodSizes[i] = good
+		if good < int64(len(s.data)) && torn == "" {
+			torn = name
+		}
+	}
+	return recs, goodSizes, nil
+}
+
 // encodeSnapshot builds the full snapshot file image for a state at a
-// sequence number.
-func encodeSnapshot(lastSeq uint64, state []byte) []byte {
-	payload := make([]byte, 0, 8+len(state))
-	payload = binary.LittleEndian.AppendUint64(payload, lastSeq)
-	payload = append(payload, state...)
-	out := make([]byte, 0, len(snapMagic)+frameHeaderSize+len(payload))
-	out = append(out, snapMagic...)
-	return appendFrame(out, payload)
+// sequence number: magic, frame header, seq and state in one buffer
+// sized from the state's exact encoded length.
+func encodeSnapshot(lastSeq uint64, m *Memory) []byte {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	head := len(snapMagic) + frameHeaderSize
+	e := encoder{buf: make([]byte, head, head+8+stateSize(m))}
+	copy(e.buf, snapMagic)
+	e.u64(lastSeq)
+	e.state(m)
+	return sealFrame(e.buf, len(snapMagic))
 }
 
 // decodeSnapshot parses a snapshot file image into the state it holds
