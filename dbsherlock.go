@@ -261,8 +261,9 @@ type DiagnoseRequest struct {
 	// CaptureState asks the engine to return a reusable DiagnosisState
 	// in DiagnoseResult.State (it is also returned whenever Reuse was
 	// accepted). Capturing costs a few small copies plus keeping the
-	// evaluator's partition spaces alive; leave it off for one-shot
-	// diagnoses.
+	// evaluator's partition spaces alive — every attribute's, since
+	// Algorithm 1 stores each space it builds; leave it off for
+	// one-shot diagnoses.
 	CaptureState bool
 }
 
@@ -362,16 +363,16 @@ func (a *Analyzer) Diagnose(ctx context.Context, req DiagnoseRequest) (*Diagnose
 // explainCtx is the cold half of Diagnose: Algorithm 1, domain-knowledge
 // pruning and separation-power scoring. It returns the explanation
 // without causes and the trace-free evaluator the causal models are
-// ranked against. ctx errors are returned unwrapped so callers can match
-// them with errors.Is.
+// ranked against, which Algorithm 1 filled with every attribute's
+// partition space. ctx errors are returned unwrapped so callers can
+// match them with errors.Is.
 func (a *Analyzer) explainCtx(ctx context.Context, ds *Dataset, abnormal, normal *Region, tr *obs.Trace) (*Explanation, *core.Evaluator, error) {
 	abnormal, normal, err := resolveRegions(ds, abnormal, normal)
 	if err != nil {
 		return nil, nil, err
 	}
-	params := a.params
-	params.Trace = tr
-	preds, err := core.GenerateCtx(ctx, ds, abnormal, normal, params)
+	ev := core.NewEvaluator(ds, abnormal, normal, a.params)
+	preds, err := ev.Generate(ctx, tr)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, nil, ctx.Err()
@@ -392,7 +393,7 @@ func (a *Analyzer) explainCtx(ctx context.Context, ds *Dataset, abnormal, normal
 	// membership re-scans are pure waste (see Region.RunList).
 	aRuns, nRuns := abnormal.RunList(), normal.RunList()
 	cntA, cntN := abnormal.Count(), normal.Count()
-	if err := core.ForEachCtx(ctx, len(expl.Predicates), core.ResolveWorkers(params.Workers), func(i int) {
+	if err := core.ForEachCtx(ctx, len(expl.Predicates), core.ResolveWorkers(a.params.Workers), func(i int) {
 		p := expl.Predicates[i]
 		expl.Ranked[i] = ScoredPredicate{
 			Predicate:       p,
@@ -414,7 +415,7 @@ func (a *Analyzer) explainCtx(ctx context.Context, ds *Dataset, abnormal, normal
 		}
 	})
 	tr.EndStage(obs.StageScore, start)
-	return expl, core.NewEvaluator(ds, abnormal, normal, a.params), nil
+	return expl, ev, nil
 }
 
 // LearnCause incorporates user feedback: it generates predicates for

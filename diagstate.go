@@ -6,8 +6,9 @@ import (
 )
 
 // DiagnosisState is an opaque, reusable snapshot of the expensive
-// intermediate state of one diagnosis context: the evaluator's prepared
-// partition spaces (Algorithm 1's labeled domains) plus the extracted,
+// intermediate state of one diagnosis context: the evaluator holding
+// every attribute's partition space (Algorithm 1's labeled and filtered
+// domains, stored as Algorithm 1 built them) plus the extracted,
 // scored, and pruned predicates. Capture it with
 // DiagnoseRequest.CaptureState and hand it back via
 // DiagnoseRequest.Reuse on later diagnoses of the same (dataset,
@@ -64,8 +65,9 @@ func (st *DiagnosisState) accepts(a *Analyzer, req DiagnoseRequest) bool {
 // SizeBytes estimates the retained heap footprint of the state: the
 // evaluator's partition spaces and region pins plus the predicate
 // slices. Byte-budgeted caches (internal/diagcache) use it for
-// accounting; it is safe to call while the state is in concurrent use
-// and reflects spaces added lazily by later rankings.
+// accounting; it is safe to call while the state is in concurrent use.
+// A captured state already holds every attribute's space, so serving
+// later rankings does not change its size.
 func (st *DiagnosisState) SizeBytes() int64 {
 	if st == nil {
 		return 0

@@ -170,10 +170,11 @@ func TestDiagnoseReuseMismatchRunsCold(t *testing.T) {
 	}
 }
 
-// TestDiagnoseTraceCountsSpaces: the ranking pass records the partition
+// TestDiagnoseTraceCountsSpaces: a diagnosis records the partition
 // spaces it built and reused into the request's trace. A cold diagnosis
-// records the same counts whether or not it captures state, and a
-// diagnosis reusing that state builds nothing.
+// builds each attribute's space once, in Algorithm 1, and records the
+// same counts whether or not it captures state; a diagnosis reusing
+// that state builds nothing.
 func TestDiagnoseTraceCountsSpaces(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -194,6 +195,10 @@ func TestDiagnoseTraceCountsSpaces(t *testing.T) {
 			if plainBuilt == 0 {
 				t.Fatal("a cold diagnosis recorded no partition-space builds")
 			}
+			if plainBuilt != int64(ds.NumAttrs()) {
+				t.Errorf("a cold diagnosis built %d partition spaces for %d attributes, want each built once by Algorithm 1 and none by ranking",
+					plainBuilt, ds.NumAttrs())
+			}
 			if coldBuilt != plainBuilt || coldReused != plainReused {
 				t.Errorf("capturing run counted %d built / %d reused, plain run %d / %d",
 					coldBuilt, coldReused, plainBuilt, plainReused)
@@ -202,6 +207,36 @@ func TestDiagnoseTraceCountsSpaces(t *testing.T) {
 				t.Errorf("reused run counted %d built / %d reused, want 0 / >0", hotBuilt, hotReused)
 			}
 		})
+	}
+}
+
+// TestDiagnosisStateSizeBytes: a captured state holds every attribute's
+// partition space whatever ranking probes, so its size estimate is the
+// same with and without learned models, and a hot re-rank, which builds
+// nothing, leaves it unchanged.
+func TestDiagnosisStateSizeBytes(t *testing.T) {
+	ds, abn := simulateAnomaly(t, dbsherlock.LockContention, 99)
+	capture := func(a *dbsherlock.Analyzer) *dbsherlock.DiagnosisState {
+		t.Helper()
+		res, err := a.Diagnose(context.Background(),
+			dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: abn, CaptureState: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.State
+	}
+	learned := learnedAnalyzer(t, 2, false)
+	st := capture(learned)
+	size := st.SizeBytes()
+	if unranked := capture(dbsherlock.MustNew(dbsherlock.WithTheta(0.05), dbsherlock.WithWorkers(2))).SizeBytes(); unranked != size {
+		t.Errorf("state captured without models is %d bytes, with models %d: a state should hold every space either way", unranked, size)
+	}
+	if _, err := learned.Diagnose(context.Background(),
+		dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: abn, Reuse: st}); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.SizeBytes(); got != size {
+		t.Errorf("a hot re-rank changed the state's size %d -> %d", size, got)
 	}
 }
 

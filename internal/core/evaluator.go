@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"sync"
+	"unsafe"
 
 	"dbsherlock/internal/metrics"
 	"dbsherlock/internal/obs"
@@ -13,7 +14,8 @@ import (
 // each attribute. Confidence computation (Equation 3) scores every
 // causal model's predicates against the same context, so the cache turns
 // an O(models x predicates x rows) recomputation into one partition
-// build per attribute.
+// build per attribute. Generate runs Algorithm 1 over the same context
+// and stores every space it builds, so ranking after it builds nothing.
 //
 // An Evaluator is safe for concurrent use: the space cache is guarded by
 // an RWMutex, and because space construction is deterministic, losers of
@@ -23,9 +25,9 @@ import (
 //
 // An Evaluator never carries a trace — one may outlive the request that
 // built it and serve many others — so callers hand their trace to
-// PrepareCtx instead. It is bound to the dataset state it was built
-// over: spaces come from that state's prepared index, and a column added
-// afterwards yields no space.
+// Generate and PrepareCtx instead. It is bound to the dataset state it
+// was built over: spaces come from that state's prepared index, and a
+// column added afterwards falls outside the slots and yields no space.
 type Evaluator struct {
 	ds       *metrics.Dataset
 	abnormal *metrics.Region
@@ -38,46 +40,51 @@ type Evaluator struct {
 	// space build.
 	aRuns, nRuns []int32
 
-	mu  sync.RWMutex
-	num map[string]numEntry
-	cat map[string]*CategoricalSpace
+	mu    sync.RWMutex
+	slots []slot // by column index, one per column at construction
 }
 
-// numEntry is one cached numeric space plus its label totals, computed
-// once at insert so Separation never re-scans the full space for them.
-// Stored by value: caching costs no allocation beyond the map itself,
-// which keeps the cold diagnosis path on its allocation floor.
-type numEntry struct {
-	ps     *NumericSpace
-	nA, nN int32 // Abnormal / Normal partition counts after filtering
+// slot is one column's cached space: num for a numeric column, cat for
+// a categorical one, both nil when the column yields no space (constant
+// or all-NaN, or no row in either region). Slots are stored by value,
+// so caching a space is one write into a slice sized at construction.
+type slot struct {
+	num    *NumericSpace
+	cat    *CategoricalSpace
+	nA, nN int32 // num's Abnormal / Normal partitions, counted once at store
+	built  bool
 }
 
-func buildNumEntry(ps *NumericSpace) numEntry {
-	ent := numEntry{ps: ps}
+// numericSlot wraps a filtered numeric space, computing its label
+// totals once so Separation never re-scans the full space for them.
+func numericSlot(ps *NumericSpace) slot {
+	s := slot{num: ps, built: true}
 	if ps == nil {
-		return ent
+		return s
 	}
 	for _, l := range ps.Labels {
 		switch l {
 		case Abnormal:
-			ent.nA++
+			s.nA++
 		case Normal:
-			ent.nN++
+			s.nN++
 		}
 	}
-	return ent
+	return s
 }
 
 // NewEvaluator prepares an evaluation context. Spaces are built lazily,
 // against the dataset's prepared columnar index (built here on first use;
-// see prepared.go). p.Trace is dropped: see PrepareCtx.
+// see prepared.go), unless Generate stores them first. p.Trace is
+// dropped: see PrepareCtx.
 func NewEvaluator(ds *metrics.Dataset, abnormal, normal *metrics.Region, p Params) *Evaluator {
 	p.Trace = nil
 	e := &Evaluator{
 		ds: ds, abnormal: abnormal, normal: normal, p: p,
 		prep: PreparedFor(ds, p.NumPartitions),
-		num:  make(map[string]numEntry),
-		cat:  make(map[string]*CategoricalSpace),
+	}
+	if ds != nil {
+		e.slots = make([]slot, ds.NumAttrs())
 	}
 	if abnormal != nil {
 		e.aRuns = abnormal.RunList()
@@ -103,43 +110,50 @@ func (e *Evaluator) Regions() (abnormal, normal *metrics.Region) {
 	return e.abnormal, e.normal
 }
 
-// SizeBytes estimates the retained heap footprint of the evaluator's
-// cached partition spaces plus its region pins — the memory a cache
-// holding this evaluator keeps alive beyond the dataset itself (the
-// dataset is owned by the store and not counted). The estimate walks
-// the space maps under the read lock, so it is safe to call while the
-// evaluator is in concurrent use and reflects lazily added spaces.
+// SizeBytes estimates the retained heap footprint of the evaluator: its
+// slots, the cached partition spaces and the region pins and run lists
+// — the memory a cache holding this evaluator keeps alive beyond the
+// dataset itself. Attribute names and category values are the dataset's
+// strings, so only their headers count. The estimate walks the slots
+// under the read lock, so it is safe to call while the evaluator is in
+// concurrent use and reflects lazily added spaces.
 func (e *Evaluator) SizeBytes() int64 {
 	const (
-		numSpaceOverhead = 96 // struct, map entry, key header
-		catSpaceOverhead = 96
-		stringOverhead   = 16
-		regionOverhead   = 32
+		evaluatorBytes = int64(unsafe.Sizeof(Evaluator{}))
+		slotBytes      = int64(unsafe.Sizeof(slot{}))
+		numSpaceBytes  = int64(unsafe.Sizeof(NumericSpace{}))
+		catSpaceBytes  = int64(unsafe.Sizeof(CategoricalSpace{}))
+		stringBytes    = int64(unsafe.Sizeof(""))
+		labelBytes     = int64(unsafe.Sizeof(Label(0)))
+		runBytes       = int64(unsafe.Sizeof(int32(0)))
+		regionBytes    = int64(unsafe.Sizeof(metrics.Region{}))
 	)
-	var n int64
+	n := evaluatorBytes + slotBytes*int64(len(e.slots)) +
+		runBytes*int64(cap(e.aRuns)+cap(e.nRuns))
 	e.mu.RLock()
-	for attr, ent := range e.num {
-		n += numSpaceOverhead + int64(len(attr))
-		if ent.ps != nil {
-			n += int64(len(ent.ps.Attr)) + int64(len(ent.ps.Labels))
+	for _, s := range e.slots {
+		if s.num != nil {
+			n += numSpaceBytes + labelBytes*int64(cap(s.num.Labels))
 		}
-	}
-	for attr, cs := range e.cat {
-		n += catSpaceOverhead + int64(len(attr))
-		if cs != nil {
-			n += int64(len(cs.Attr)) + int64(len(cs.Labels))
-			for _, v := range cs.Values {
-				n += stringOverhead + int64(len(v))
-			}
+		if s.cat != nil {
+			n += catSpaceBytes + labelBytes*int64(cap(s.cat.Labels)) +
+				stringBytes*int64(cap(s.cat.Values))
 		}
 	}
 	e.mu.RUnlock()
 	for _, r := range []*metrics.Region{e.abnormal, e.normal} {
 		if r != nil {
-			n += regionOverhead + int64(r.Len())
+			n += regionBytes + int64(r.Len())
 		}
 	}
 	return n
+}
+
+// column resolves an attribute name to its slot index. A column added
+// to the dataset after construction has no slot and resolves to false.
+func (e *Evaluator) column(attr string) (int, bool) {
+	i, ok := e.ds.ColumnIndex(attr)
+	return i, ok && i < len(e.slots)
 }
 
 // PrepareCtx builds the partition spaces of the named attributes up
@@ -147,40 +161,40 @@ func (e *Evaluator) SizeBytes() int64 {
 // pool. Duplicate and unknown names are fine (built once / skipped), so
 // callers can pass the raw attribute list of a model set. tr (nil-safe)
 // counts each known name whose space this call built as spaces_built and
-// every other known name as spaces_reused.
+// every other known name as spaces_reused; after Generate every name is
+// reused.
 //
 // Construction is abandoned between attributes once ctx fires and
 // ctx.Err() is returned. The cache stays consistent either way — every
 // space that finished building remains valid and reusable.
 func (e *Evaluator) PrepareCtx(ctx context.Context, attrs []string, workers int, tr *obs.Trace) error {
 	// Deduplicate by column index: a flag per column costs far less than
-	// a set of names, and unknown names drop out on the way.
-	seen := make([]bool, e.ds.NumAttrs())
+	// a set of names, and unknown names drop out on the way. Stored
+	// slots need no worker at all.
+	seen := make([]bool, len(e.slots))
 	todo := make([]int, 0, len(seen))
-	dups := 0
+	reused := 0
+	e.mu.RLock()
 	for _, a := range attrs {
-		i, ok := e.ds.ColumnIndex(a)
+		i, ok := e.column(a)
 		switch {
 		case !ok:
-		case seen[i]:
-			dups++
+		case seen[i] || e.slots[i].built:
+			reused++
 		default:
 			seen[i] = true
 			todo = append(todo, i)
 		}
 	}
-	tr.Count(obs.CounterSpacesReused, dups)
+	e.mu.RUnlock()
+	tr.Count(obs.CounterSpacesReused, reused)
 	resolved := ResolveWorkers(workers)
 	scratches := make([]*scratch, EffectiveWorkers(len(todo), resolved))
 	for i := range scratches {
 		scratches[i] = getScratch()
 	}
 	err := ForEachWorkerCtx(ctx, len(todo), resolved, func(w, k int) {
-		if i := todo[k]; e.ds.ColumnAt(i).Attr.Type == metrics.Numeric {
-			e.numericSpace(i, scratches[w], tr)
-		} else {
-			e.categoricalSpace(i, scratches[w], tr)
-		}
+		e.space(todo[k], scratches[w], tr)
 	})
 	for _, sc := range scratches {
 		putScratch(sc)
@@ -191,13 +205,13 @@ func (e *Evaluator) PrepareCtx(ctx context.Context, attrs []string, workers int,
 // Separation computes the partition-space separation of one predicate,
 // identically to PartitionSeparation but with cached spaces.
 func (e *Evaluator) Separation(pred Predicate) float64 {
-	i, ok := e.ds.ColumnIndex(pred.Attr)
+	i, ok := e.column(pred.Attr)
 	if !ok || e.ds.ColumnAt(i).Attr.Type != pred.Type {
 		return 0
 	}
+	s := e.space(i, nil, nil)
 	if pred.Type == metrics.Numeric {
-		ent := e.numericSpace(i, nil, nil)
-		ps := ent.ps
+		ps := s.num
 		if ps == nil {
 			return 0
 		}
@@ -209,7 +223,7 @@ func (e *Evaluator) Separation(pred Predicate) float64 {
 		// therefore the ratios, are identical, without evaluating a
 		// midpoint per partition.
 		r := len(ps.Labels)
-		nA, nN := int(ent.nA), int(ent.nN)
+		nA, nN := int(s.nA), int(s.nN)
 		if !pred.HasLower && !pred.HasUpper {
 			return 0 // MatchesNumeric is false everywhere: zero hits on both sides
 		}
@@ -250,7 +264,7 @@ func (e *Evaluator) Separation(pred Predicate) float64 {
 		return ratio(hitA, nA) - ratio(hitN, nN)
 	}
 
-	cs := e.categoricalSpace(i, nil, nil)
+	cs := s.cat
 	if cs == nil {
 		return 0
 	}
@@ -272,21 +286,18 @@ func (e *Evaluator) Separation(pred Predicate) float64 {
 	return ratio(hitA, nA) - ratio(hitN, nN)
 }
 
-// numericSpace returns the cached entry of column i, building it with
-// the given scratch arena on a miss (nil falls back to the shared pool)
-// and counting the hit or miss into tr. Cache entries own their Labels —
+// space returns the slot of column i, building it with the given
+// scratch arena on a miss (nil falls back to the shared pool) and
+// counting the hit or miss into tr. Stored spaces own their Labels —
 // they are handed to concurrent scoring goroutines and outlive every
-// scratch — so nothing scratch-backed is ever stored. A constant/all-NaN
-// attribute yields an entry with a nil ps.
-func (e *Evaluator) numericSpace(i int, sc *scratch, tr *obs.Trace) numEntry {
-	col := e.ds.ColumnAt(i)
-	attr := col.Attr.Name
+// scratch — so nothing scratch-backed is ever stored.
+func (e *Evaluator) space(i int, sc *scratch, tr *obs.Trace) slot {
 	e.mu.RLock()
-	ent, ok := e.num[attr]
+	s := e.slots[i]
 	e.mu.RUnlock()
-	if ok {
+	if s.built {
 		tr.Count(obs.CounterSpacesReused, 1)
-		return ent
+		return s
 	}
 	if sc == nil {
 		sc = getScratch()
@@ -295,57 +306,60 @@ func (e *Evaluator) numericSpace(i int, sc *scratch, tr *obs.Trace) numEntry {
 	// Build outside the lock: construction is the expensive part and is
 	// deterministic, so concurrent builders produce identical spaces and
 	// the first writer wins.
-	built, _, _, _, _ := newNumericSpacePrepared(attr, col.Num, e.prep.column(i), e.aRuns, e.nRuns, e.p.NumPartitions, sc)
-	if built != nil && !e.p.DisableFiltering {
-		built.filter(sc)
+	if col := e.ds.ColumnAt(i); col.Attr.Type == metrics.Numeric {
+		ps, _, _ := e.partitionNumeric(i, col, sc, nil)
+		s = numericSlot(ps)
+	} else {
+		s = slot{cat: newCategoricalSpaceIDs(col.Attr.Name, col, e.aRuns, e.nRuns, sc), built: true}
 	}
-	entry := buildNumEntry(built)
+	return e.store(i, s, tr)
+}
+
+// store installs s as column i's slot unless a racing build stored one
+// first, and returns the slot that stays there. tr counts the outcome.
+func (e *Evaluator) store(i int, s slot, tr *obs.Trace) slot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if ent, ok := e.num[attr]; ok {
+	if old := e.slots[i]; old.built {
 		tr.Count(obs.CounterSpacesReused, 1)
-		return ent
+		return old
 	}
 	tr.Count(obs.CounterSpacesBuilt, 1)
-	e.num[attr] = entry
-	return entry
+	e.slots[i] = s
+	return s
+}
+
+// partitionNumeric runs Algorithm 1's first three steps on numeric
+// column i: label the partition space from the prepared index and
+// filter it unless filtering is disabled, timing both stages into tr
+// (nil-safe). It also returns the region means, which fall out of the
+// labeling pass and which gap filling and extraction need. A nil space
+// means the column yields none.
+func (e *Evaluator) partitionNumeric(i int, col metrics.Column, sc *scratch, tr *obs.Trace) (ps *NumericSpace, muA, muN float64) {
+	start := tr.Start()
+	ps, sumA, sumN, cntA, cntN := newNumericSpacePrepared(col.Attr.Name, col.Num, e.prep.column(i), e.aRuns, e.nRuns, e.p.NumPartitions, sc)
+	muA, muN = meanOf(sumA, cntA), meanOf(sumN, cntN)
+	tr.EndStage(obs.StagePartition, start)
+	if ps == nil {
+		return nil, muA, muN
+	}
+	tr.Count(obs.CounterPartitionsCreated, ps.R)
+	if !e.p.DisableFiltering {
+		start = tr.Start()
+		tr.Count(obs.CounterPartitionsFiltered, ps.filter(sc))
+		tr.EndStage(obs.StageFilter, start)
+	}
+	return ps, muA, muN
 }
 
 // NumericSpaceFor returns the cached (filtered) numeric partition space
 // of an attribute, or nil when the attribute is missing, categorical,
-// or yields no space. Exported for tests and experiment harnesses.
+// added after construction, or yields no space. Exported for tests and
+// experiment harnesses.
 func (e *Evaluator) NumericSpaceFor(attr string) *NumericSpace {
-	i, ok := e.ds.ColumnIndex(attr)
+	i, ok := e.column(attr)
 	if !ok || e.ds.ColumnAt(i).Attr.Type != metrics.Numeric {
 		return nil
 	}
-	return e.numericSpace(i, nil, nil).ps
-}
-
-// categoricalSpace is numericSpace for a dictionary-encoded categorical
-// column.
-func (e *Evaluator) categoricalSpace(i int, sc *scratch, tr *obs.Trace) *CategoricalSpace {
-	col := e.ds.ColumnAt(i)
-	attr := col.Attr.Name
-	e.mu.RLock()
-	cs, ok := e.cat[attr]
-	e.mu.RUnlock()
-	if ok {
-		tr.Count(obs.CounterSpacesReused, 1)
-		return cs
-	}
-	if sc == nil {
-		sc = getScratch()
-		defer putScratch(sc)
-	}
-	built := newCategoricalSpaceIDs(attr, col, e.aRuns, e.nRuns, sc)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if cs, ok := e.cat[attr]; ok {
-		tr.Count(obs.CounterSpacesReused, 1)
-		return cs
-	}
-	tr.Count(obs.CounterSpacesBuilt, 1)
-	e.cat[attr] = built
-	return built
+	return e.space(i, nil, nil).num
 }

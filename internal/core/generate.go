@@ -77,9 +77,24 @@ func Generate(ds *metrics.Dataset, abnormal, normal *metrics.Region, p Params) (
 // per-attribute fan-out checks ctx between attributes and returns
 // ctx.Err() promptly once it fires, discarding partial results. An
 // uncancelled call is byte-identical to Generate (a non-cancellable ctx
-// costs nothing on the hot path).
+// costs nothing on the hot path). It runs Algorithm 1 through a
+// throwaway evaluator; callers that go on to score predicates or rank
+// models against the same context keep the evaluator instead (see
+// Evaluator.Generate).
 func GenerateCtx(ctx context.Context, ds *metrics.Dataset, abnormal, normal *metrics.Region, p Params) ([]Predicate, error) {
-	if err := p.Validate(); err != nil {
+	return NewEvaluator(ds, abnormal, normal, p).Generate(ctx, p.Trace)
+}
+
+// Generate runs Algorithm 1 over the evaluator's dataset and regions,
+// with GenerateCtx's output, cancellation and tracing (tr, nil-safe),
+// and stores every attribute's partition space as it goes, so scoring
+// and ranking against the evaluator afterwards build nothing. Each
+// numeric space is stored right after filtering: the evaluator takes
+// the labels Algorithm 1 built, and gap filling and extraction run on a
+// scratch copy of them. tr counts each stored space as spaces_built.
+func (e *Evaluator) Generate(ctx context.Context, tr *obs.Trace) ([]Predicate, error) {
+	ds, abnormal, normal := e.ds, e.abnormal, e.normal
+	if err := e.p.Validate(); err != nil {
 		return nil, err
 	}
 	if ds == nil || ds.Rows() == 0 {
@@ -99,29 +114,23 @@ func GenerateCtx(ctx context.Context, ds *metrics.Dataset, abnormal, normal *met
 		pred Predicate
 		ok   bool
 	}
-	results := make([]candidate, ds.NumAttrs())
-	workers := ResolveWorkers(p.Workers)
-	// Resolve the dataset's prepared columnar index once for the whole
-	// fan-out: per-attribute construction then runs against precomputed
-	// bucket ids (see prepared.go) instead of re-scanning raw values.
-	// The regions are run-length encoded once here, at the last
-	// single-threaded moment, so no kernel re-scans membership slices.
-	prep := PreparedFor(ds, p.NumPartitions)
-	aRuns, nRuns := abnormal.RunList(), normal.RunList()
+	n := len(e.slots)
+	results := make([]candidate, n)
+	workers := ResolveWorkers(e.p.Workers)
 	// One scratch arena per worker slot: the per-attribute buffers
 	// (membership bitsets, label snapshots, category counters) are reused
 	// across all ~R attributes a slot processes instead of reallocated.
-	scratches := make([]*scratch, EffectiveWorkers(ds.NumAttrs(), workers))
+	scratches := make([]*scratch, EffectiveWorkers(n, workers))
 	for i := range scratches {
 		scratches[i] = getScratch()
 	}
-	err := ForEachWorkerCtx(ctx, ds.NumAttrs(), workers, func(w, i int) {
+	err := ForEachWorkerCtx(ctx, n, workers, func(w, i int) {
 		col := ds.ColumnAt(i)
 		switch col.Attr.Type {
 		case metrics.Numeric:
-			results[i].pred, results[i].ok = generateNumeric(col, prep.column(i), aRuns, nRuns, p, scratches[w])
+			results[i].pred, results[i].ok = e.generateNumeric(i, col, scratches[w], tr)
 		case metrics.Categorical:
-			results[i].pred, results[i].ok = generateCategorical(col, aRuns, nRuns, p, scratches[w])
+			results[i].pred, results[i].ok = e.generateCategorical(i, col, scratches[w], tr)
 		}
 	})
 	for _, sc := range scratches {
@@ -136,32 +145,24 @@ func GenerateCtx(ctx context.Context, ds *metrics.Dataset, abnormal, normal *met
 			out = append(out, c.pred)
 		}
 	}
-	p.Trace.Count(obs.CounterAttributes, ds.NumAttrs())
-	p.Trace.Count(obs.CounterPredicatesKept, len(out))
+	tr.Count(obs.CounterAttributes, n)
+	tr.Count(obs.CounterPredicatesKept, len(out))
 	return out, nil
 }
 
-func generateNumeric(col metrics.Column, pc *PreparedColumn, aRuns, nRuns []int32, p Params, sc *scratch) (Predicate, bool) {
-	tr := p.Trace
-	start := tr.Start()
-	// Labeling is a counting pass over the prepared bucket ids, and both
-	// region means fall out of the same fused pass.
-	ps, sumA, sumN, cntA, cntN := newNumericSpacePrepared(col.Attr.Name, col.Num, pc, aRuns, nRuns, p.NumPartitions, sc)
-	muA, muN := meanOf(sumA, cntA), meanOf(sumN, cntN)
-	tr.EndStage(obs.StagePartition, start)
+func (e *Evaluator) generateNumeric(i int, col metrics.Column, sc *scratch, tr *obs.Trace) (Predicate, bool) {
+	ps, muA, muN := e.partitionNumeric(i, col, sc, tr)
+	e.store(i, numericSlot(ps), tr)
 	if ps == nil {
 		return Predicate{}, false
 	}
-	tr.Count(obs.CounterPartitionsCreated, ps.R)
-	if !p.DisableFiltering {
-		start = tr.Start()
-		removed := ps.filter(sc)
-		tr.Count(obs.CounterPartitionsFiltered, removed)
-		tr.EndStage(obs.StageFilter, start)
-	}
-	if !p.DisableGapFilling {
-		start = tr.Start()
-		ps.fillGaps(p.Delta, muN, sc)
+	// The stored space is shared from here on, so gap filling rewrites a
+	// stack view over a scratch copy of its labels (DESIGN.md §10).
+	view := *ps
+	view.Labels = sc.labelCopy(ps.Labels)
+	if !e.p.DisableGapFilling {
+		start := tr.Start()
+		view.fillGaps(e.p.Delta, muN, sc)
 		tr.EndStage(obs.StageGapFill, start)
 	}
 
@@ -170,24 +171,24 @@ func generateNumeric(col metrics.Column, pc *PreparedColumn, aRuns, nRuns []int3
 	// region, which equals (rawMean-Min)/(Max-Min), so the normalized
 	// difference is (muA-muN)/(Max-Min) from the raw region means — no
 	// row-length normalized copy of the column is ever materialized.
-	start = tr.Start()
+	start := tr.Start()
 	defer tr.EndStage(obs.StageExtract, start)
-	if math.IsNaN(muA) || math.IsNaN(muN) || math.Abs((muA-muN)/(ps.Max-ps.Min)) <= p.Theta {
+	if math.IsNaN(muA) || math.IsNaN(muN) || math.Abs((muA-muN)/(view.Max-view.Min)) <= e.p.Theta {
 		return Predicate{}, false
 	}
 
-	first, last, ok := ps.AbnormalBlock()
+	first, last, ok := view.AbnormalBlock()
 	if !ok {
 		return Predicate{}, false
 	}
 	pred := Predicate{Attr: col.Attr.Name, Type: metrics.Numeric}
 	if first > 0 {
-		lb, _ := ps.Bounds(first)
+		lb, _ := view.Bounds(first)
 		pred.HasLower = true
 		pred.Lower = lb
 	}
-	if last < ps.R-1 {
-		_, ub := ps.Bounds(last)
+	if last < view.R-1 {
+		_, ub := view.Bounds(last)
 		pred.HasUpper = true
 		pred.Upper = ub
 	}
@@ -198,11 +199,11 @@ func generateNumeric(col metrics.Column, pc *PreparedColumn, aRuns, nRuns []int3
 	return pred, true
 }
 
-func generateCategorical(col metrics.Column, aRuns, nRuns []int32, p Params, sc *scratch) (Predicate, bool) {
-	tr := p.Trace
+func (e *Evaluator) generateCategorical(i int, col metrics.Column, sc *scratch, tr *obs.Trace) (Predicate, bool) {
 	start := tr.Start()
-	cs := newCategoricalSpaceIDs(col.Attr.Name, col, aRuns, nRuns, sc)
+	cs := newCategoricalSpaceIDs(col.Attr.Name, col, e.aRuns, e.nRuns, sc)
 	tr.EndStage(obs.StagePartition, start)
+	e.store(i, slot{cat: cs, built: true}, tr)
 	if cs == nil {
 		return Predicate{}, false
 	}

@@ -102,21 +102,24 @@ func TestGenerateGoldenAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// generateParamCases are the parameter variations (ablation switches
+// included) the table-driven Algorithm 1 tests run over.
+var generateParamCases = []struct {
+	name string
+	mod  func(*Params)
+}{
+	{"defaults", func(*Params) {}},
+	{"low-theta", func(p *Params) { p.Theta = 0.05 }},
+	{"few-partitions", func(p *Params) { p.NumPartitions = 25 }},
+	{"no-filtering", func(p *Params) { p.DisableFiltering = true }},
+	{"no-gap-filling", func(p *Params) { p.DisableGapFilling = true }},
+}
+
 // TestGenerateGoldenTableDriven pins worker-count independence across
 // parameter variations (ablation switches included).
 func TestGenerateGoldenTableDriven(t *testing.T) {
 	ds, abnormal, normal := wideDataset(t, 250, 24, 150, 200, 7)
-	cases := []struct {
-		name string
-		mod  func(*Params)
-	}{
-		{"defaults", func(*Params) {}},
-		{"low-theta", func(p *Params) { p.Theta = 0.05 }},
-		{"few-partitions", func(p *Params) { p.NumPartitions = 25 }},
-		{"no-filtering", func(p *Params) { p.DisableFiltering = true }},
-		{"no-gap-filling", func(p *Params) { p.DisableGapFilling = true }},
-	}
-	for _, tc := range cases {
+	for _, tc := range generateParamCases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := DefaultParams()
 			tc.mod(&p)
@@ -171,8 +174,9 @@ func TestForEachCoversEachIndexOnce(t *testing.T) {
 }
 
 // TestEvaluatorConcurrentSeparation hammers one shared Evaluator from
-// many goroutines (cold cache, so lazy builds race) and checks every
-// goroutine observes the same separation values. Run with -race.
+// many goroutines (cold cache, so lazy builds race with each other and
+// with a Generate storing every space) and checks every goroutine
+// observes the same separation values. Run with -race.
 func TestEvaluatorConcurrentSeparation(t *testing.T) {
 	ds, abnormal, normal := wideDataset(t, 200, 16, 120, 160, 11)
 	p := DefaultParams()
@@ -192,7 +196,18 @@ func TestEvaluatorConcurrentSeparation(t *testing.T) {
 
 	shared := NewEvaluator(ds, abnormal, normal, p)
 	var wg sync.WaitGroup
-	errs := make(chan error, 16)
+	errs := make(chan error, 17)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		got, err := shared.Generate(context.Background(), nil)
+		if err == nil && !reflect.DeepEqual(got, preds) {
+			err = fmt.Errorf("Generate on a shared evaluator: %v, want %v", got, preds)
+		}
+		if err != nil {
+			errs <- err
+		}
+	}()
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func() {
@@ -212,28 +227,53 @@ func TestEvaluatorConcurrentSeparation(t *testing.T) {
 	}
 }
 
-// TestEvaluatorPrepareMatchesLazy checks the eager parallel Prepare path
-// yields the same separations as pure lazy building.
+// TestEvaluatorPrepareMatchesLazy checks that the eager parallel Prepare
+// path and the spaces Generate stores yield the same spaces and
+// separations as pure lazy building, across the table-driven parameter
+// sets and worker counts.
 func TestEvaluatorPrepareMatchesLazy(t *testing.T) {
 	ds, abnormal, normal := wideDataset(t, 200, 16, 120, 160, 13)
-	p := DefaultParams()
-	p.Theta = 0.05
-	preds, err := Generate(ds, abnormal, normal, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lazy := NewEvaluator(ds, abnormal, normal, p)
-	eager := NewEvaluator(ds, abnormal, normal, p)
-	attrs := []string{"no-such-attr"}
-	for _, pred := range preds {
-		attrs = append(attrs, pred.Attr, pred.Attr) // duplicates are fine
-	}
-	if err := eager.PrepareCtx(context.Background(), attrs, 8, nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, pred := range preds {
-		if got, want := eager.Separation(pred), lazy.Separation(pred); got != want {
-			t.Errorf("predicate %v: prepared separation %v, lazy %v", pred, got, want)
+	for _, tc := range generateParamCases {
+		for _, workers := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				p := DefaultParams()
+				p.Theta = 0.05
+				tc.mod(&p)
+				p.Workers = workers
+				generated := NewEvaluator(ds, abnormal, normal, p)
+				preds, err := generated.Generate(context.Background(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(preds) == 0 {
+					t.Fatal("no predicates to score")
+				}
+				lazy := NewEvaluator(ds, abnormal, normal, p)
+				eager := NewEvaluator(ds, abnormal, normal, p)
+				attrs := []string{"no-such-attr"}
+				for _, pred := range preds {
+					attrs = append(attrs, pred.Attr, pred.Attr) // duplicates are fine
+				}
+				if err := eager.PrepareCtx(context.Background(), attrs, workers, nil); err != nil {
+					t.Fatal(err)
+				}
+				for _, pred := range preds {
+					want := lazy.Separation(pred)
+					if got := eager.Separation(pred); got != want {
+						t.Errorf("predicate %v: prepared separation %v, lazy %v", pred, got, want)
+					}
+					if got := generated.Separation(pred); got != want {
+						t.Errorf("predicate %v: generated separation %v, lazy %v", pred, got, want)
+					}
+				}
+				for i := 0; i < ds.NumAttrs(); i++ {
+					got, want := generated.slots[i], lazy.space(i, nil, nil)
+					if !got.built || !reflect.DeepEqual(got, want) {
+						t.Errorf("column %d: Generate stored %+v %+v (nA=%d nN=%d), lazy built %+v %+v (nA=%d nN=%d)",
+							i, got.num, got.cat, got.nA, got.nN, want.num, want.cat, want.nA, want.nN)
+					}
+				}
+			})
 		}
 	}
 }

@@ -7,10 +7,11 @@ import "sync"
 // (~116 on the paper's testbed), and each build needs several short-lived
 // slices and maps (membership flags, label snapshots, nearest-neighbour
 // indices, category counters). Allocating them fresh per attribute is
-// pure GC pressure, so Generate and Evaluator.PrepareCtx hand each worker
-// slot one scratch for the whole fan-out, and the exported constructors
-// (NewNumericSpace, Filter, FillGaps, NewCategoricalSpace) fall back to
-// a sync.Pool so direct callers keep the same zero-boilerplate API.
+// pure GC pressure, so Evaluator.Generate and Evaluator.PrepareCtx hand
+// each worker slot one scratch for the whole fan-out, and the exported
+// constructors (NewNumericSpace, Filter, FillGaps, NewCategoricalSpace)
+// fall back to a sync.Pool so direct callers keep the same
+// zero-boilerplate API.
 //
 // Ownership rules (see DESIGN.md §10):
 //   - A scratch is owned by exactly one goroutine between get and put;
@@ -20,13 +21,16 @@ import "sync"
 //     attribute may alias them.
 //   - Everything that escapes a construction — the partition space
 //     itself, its Labels, a CategoricalSpace's Values — is allocated
-//     owned, never scratch-backed. Evaluator cache entries in particular
-//     must own their labels: they are shared across concurrent scoring
-//     goroutines and outlive every scratch.
+//     owned, never scratch-backed. Evaluator slots in particular must
+//     own their labels: they are shared across concurrent scoring
+//     goroutines and outlive every scratch. Algorithm 1 stores its
+//     filtered space in the evaluator and gap-fills a scratch copy
+//     (labelCopy) through a stack view that never escapes.
 type scratch struct {
 	bitsA, bitsN []uint64 // NewNumericSpace: per-partition region membership bitsets
 	nonEmpty     []int    // Filter/FillGaps: indices of non-Empty partitions
 	nonEmptyL    []Label  // Filter: their labels, snapshot before rewriting
+	gapLabels    []Label  // Evaluator.Generate: copy of a stored space's labels to gap-fill
 
 	countA map[string]int  // NewCategoricalSpace: abnormal tuples per value
 	countN map[string]int  // NewCategoricalSpace: normal tuples per value
@@ -106,3 +110,11 @@ func (s *scratch) catState() (countA, countN map[string]int, seen map[string]boo
 
 // keepOrder stores the (possibly grown) order slice back into the arena.
 func (s *scratch) keepOrder(order []string) { s.order = order[:0] }
+
+// labelCopy copies a stored space's labels into reused capacity, for
+// Algorithm 1 to gap-fill and extract from without touching the
+// evaluator's copy.
+func (s *scratch) labelCopy(labels []Label) []Label {
+	s.gapLabels = append(s.gapLabels[:0], labels...)
+	return s.gapLabels
+}

@@ -78,9 +78,13 @@ const (
 	// CounterPredicatesPruned counts predicates removed as secondary
 	// symptoms.
 	CounterPredicatesPruned
-	// CounterSpacesBuilt counts evaluator partition-space cache misses.
+	// CounterSpacesBuilt counts partition spaces built and stored in an
+	// evaluator: every attribute's, by Algorithm 1 on a cold diagnosis,
+	// plus any a ranking pass probes that no one stored before.
 	CounterSpacesBuilt
-	// CounterSpacesReused counts evaluator partition-space cache hits.
+	// CounterSpacesReused counts probes that found their partition space
+	// already stored in the evaluator: every ranking probe after
+	// Algorithm 1 or against a reused diagnosis state.
 	CounterSpacesReused
 	// CounterModelsRanked counts causal models scored for confidence.
 	CounterModelsRanked
