@@ -20,8 +20,9 @@ vet:
 	$(GO) vet ./...
 
 # The end-to-end benchmark harness (perfbench/, its own module) compiles
-# against the root package and internal/ingest and internal/detect, but
-# `./...` above does not reach it. Vetting it makes an API change that
+# against the root package and internal/collector, internal/detect,
+# internal/diagcache, internal/ingest, internal/metrics, internal/server
+# and internal/store, but `./...` above does not reach it. Vetting it makes an API change that
 # breaks the harness fail here rather than at benchmark time. Its smoke
 # run (`cd perfbench && $(GO) test ./...`, about 70 s) stays manual.
 perfbench-vet:

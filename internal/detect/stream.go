@@ -2,6 +2,7 @@ package detect
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -14,10 +15,13 @@ import (
 
 // Stream is the Section 7 detector over a sliding window: rows are
 // appended as they arrive, the last windowCap rows are kept, and Detect
-// answers over the current window. Batch detection (DetectCtx) is a
-// one-shot Stream over the whole dataset, so a tick's output is
-// byte-identical to Detect on a snapshot of its window, and golden
-// tests pin both to the verbatim pre-stream batch pipeline.
+// answers over the current window. The stream is the window's one
+// store: a ring of timestamps and one ring per column, numeric or
+// categorical, each holding absolute row r at r%windowCap, so the
+// window can be copied out whole (Watch.Window). Batch detection
+// (DetectCtx) is a one-shot Stream over the whole dataset, so a tick's
+// output is byte-identical to Detect on a snapshot of its window, and
+// golden tests pin both to the verbatim pre-stream batch pipeline.
 //
 // An attribute's potential power (Equation 4) is the largest absolute
 // difference between the median of its normalized values and the
@@ -41,8 +45,11 @@ type Stream struct {
 	cap     int // window capacity in rows
 	workers int
 
-	names []string
-	attrs []attrStream
+	schema []metrics.Attribute // every column, in dataset order
+	times  []int64             // timestamps; absolute row r lives at times[r%cap]
+	cats   [][]string          // one ring per categorical column, in schema order
+	names  []string            // the numeric columns' names, in schema order
+	attrs  []attrStream        // one per numeric column, in schema order
 
 	total int // rows ever appended; window is absolute rows [total-rows, total)
 	rows  int // current window length: min(total, cap)
@@ -118,36 +125,94 @@ func NewStream(p Params, windowCap, workers int) *Stream {
 // Rows returns the number of rows currently in the window.
 func (s *Stream) Rows() int { return s.rows }
 
-// Append ingests a chunk of aligned statistics. The caller has already
-// validated schema and timestamps (Watch.Append); Append only consumes
-// the numeric columns, in dataset order.
+// Append ingests a chunk of aligned statistics: its timestamps and
+// every column go into the window's rings. The first chunk fixes the
+// schema. The caller has already validated schema and timestamps
+// against the window (Watch.Append).
 func (s *Stream) Append(ds *metrics.Dataset) {
 	if ds == nil || ds.Rows() == 0 {
 		return
 	}
-	if s.attrs == nil {
-		for i := 0; i < ds.NumAttrs(); i++ {
-			if ds.ColumnAt(i).Attr.Type == metrics.Numeric {
-				s.names = append(s.names, ds.ColumnAt(i).Attr.Name)
+	if s.schema == nil {
+		s.schema = ds.Attributes()
+		s.times = make([]int64, s.cap)
+		for _, a := range s.schema {
+			if a.Type == metrics.Numeric {
+				s.names = append(s.names, a.Name)
 				s.attrs = append(s.attrs, attrStream{ring: make([]float64, s.cap)})
+			} else {
+				s.cats = append(s.cats, make([]string, s.cap))
 			}
 		}
 	}
 	n := ds.Rows()
-	k := 0
-	for i := 0; i < ds.NumAttrs(); i++ {
+	for i, t := range ds.Timestamps() {
+		s.times[(s.total+i)%s.cap] = t
+	}
+	k, c := 0, 0
+	for i := range s.schema {
 		col := ds.ColumnAt(i)
-		if col.Attr.Type != metrics.Numeric {
+		if col.Attr.Type == metrics.Numeric {
+			s.attrs[k].push(col.Num, s.total, s.cap)
+			k++
 			continue
 		}
-		s.attrs[k].push(col.Num, s.total, s.cap)
-		k++
+		for j, v := range col.Cat {
+			s.cats[c][(s.total+j)%s.cap] = v
+		}
+		c++
 	}
 	s.total += n
 	s.rows = s.total
 	if s.rows > s.cap {
 		s.rows = s.cap
 	}
+}
+
+// timeAt returns the timestamp of absolute row r, which must be in the
+// window.
+func (s *Stream) timeAt(r int) int64 { return s.times[r%s.cap] }
+
+// window copies the window out as a standalone dataset, oldest row
+// first, columns in schema order. Every error the dataset constructors
+// could return is ruled out by how the rings are filled, so one is a
+// broken invariant and panics.
+func (s *Stream) window() *metrics.Dataset {
+	lo := s.total - s.rows
+	ds, err := metrics.NewDataset(unroll(s.times, lo, s.rows))
+	if err != nil {
+		panic(fmt.Sprintf("detect: broken invariant, Watch.Append admits only "+
+			"increasing timestamps, yet the window's are not: %v", err))
+	}
+	k, c := 0, 0
+	for _, a := range s.schema {
+		if a.Type == metrics.Numeric {
+			err = ds.AddNumeric(a.Name, unroll(s.attrs[k].ring, lo, s.rows))
+			k++
+		} else {
+			err = ds.AddCategorical(a.Name, unroll(s.cats[c], lo, s.rows))
+			c++
+		}
+		if err != nil {
+			panic(fmt.Sprintf("detect: broken invariant, the schema came from a valid "+
+				"dataset and every ring holds the window's rows, yet a column was rejected: %v", err))
+		}
+	}
+	return ds
+}
+
+// unroll copies the n ring entries starting at absolute row lo out in
+// row order.
+func unroll[T any](ring []T, lo, n int) []T {
+	out := make([]T, 0, n)
+	if n == 0 {
+		return out
+	}
+	start := lo % len(ring)
+	if end := start + n; end > len(ring) {
+		return append(append(out, ring[start:]...), ring[:end-len(ring)]...)
+	}
+	return append(out, ring[start:start+n]...)
 }
 
 // push appends raw values for absolute rows [total, total+len(vals)),

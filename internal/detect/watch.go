@@ -53,66 +53,63 @@ func (p Policy) WithDefaults() Policy {
 	return p
 }
 
-// Watch applies a Policy to one metric stream. It owns everything about
-// alerting except detection itself: the stream's schema (fixed by the
-// first chunk), its timeline (timestamps strictly increase across
-// chunks), the timestamps of the sliding window, the check cadence and
-// warmup, and the min-run floor and cooldown dedup that turn a detected
-// region into an alert span. The caller pairs it with a detector over
-// the same window: a Stream of WindowRows rows, or a snapshot.
+// Watch applies a Policy to one metric stream and owns the stream's
+// window. It holds the Stream that stores the window's rows, and
+// everything about alerting around it: the stream's schema (fixed by
+// the first chunk), its timeline (timestamps strictly increase across
+// chunks), the check cadence and warmup, and the min-run floor and
+// cooldown dedup that turn a detected region into an alert span.
+// Detection runs on the stream (Detect) or on a copy of the window
+// (Window).
 //
 // Watch is not safe for concurrent use.
 type Watch struct {
 	p          Policy
-	attrs      []metrics.Attribute
-	times      []int64 // absolute row r's timestamp lives at times[r%len(times)]
-	total      int     // rows ever appended
+	s          *Stream
 	sinceCheck int
 
-	// The last committed alert's span, extended by every finding it
-	// has suppressed since.
+	// The last alert's span, extended by every finding it has
+	// suppressed since.
 	alerted  bool
 	from, to int64
 }
 
-// NewWatch builds a watch; zero policy fields take their defaults.
-func NewWatch(p Policy) *Watch { return &Watch{p: p.WithDefaults()} }
+// NewWatch builds a watch over a window of p.WindowRows rows; zero
+// policy fields take their defaults. params and workers configure the
+// stream's Section 7 detection, as in NewStream.
+func NewWatch(p Policy, params Params, workers int) *Watch {
+	p = p.WithDefaults()
+	return &Watch{p: p, s: NewStream(params, p.WindowRows, workers)}
+}
 
 // Rows returns the number of rows in the window.
-func (w *Watch) Rows() int { return min(w.total, w.p.WindowRows) }
+func (w *Watch) Rows() int { return w.s.Rows() }
 
 // Append admits one chunk of aligned statistics: the first chunk fixes
 // the schema, later chunks must match it and start after the window's
-// last timestamp. A rejected chunk changes nothing. check reports that
-// a detection pass is due: CheckEvery rows have arrived since the last
+// last timestamp. A rejected chunk changes nothing; an accepted one is
+// written to every ring of the window at once. check reports that a
+// detection pass is due: CheckEvery rows have arrived since the last
 // due pass and the window holds at least WarmupRows.
 func (w *Watch) Append(ds *metrics.Dataset) (check bool, err error) {
 	if ds == nil || ds.Rows() == 0 {
 		return false, nil
 	}
-	if w.attrs == nil {
-		w.attrs = ds.Attributes()
-		w.times = make([]int64, w.p.WindowRows)
-	}
-	if ds.NumAttrs() != len(w.attrs) {
-		return false, fmt.Errorf("chunk has %d attributes, stream schema has %d", ds.NumAttrs(), len(w.attrs))
-	}
-	for i, want := range w.attrs {
-		if a := ds.ColumnAt(i).Attr; a != want {
-			return false, fmt.Errorf("attribute %d is %v, stream schema has %v", i, a, want)
+	if s := w.s; s.total > 0 {
+		if ds.NumAttrs() != len(s.schema) {
+			return false, fmt.Errorf("chunk has %d attributes, stream schema has %d", ds.NumAttrs(), len(s.schema))
+		}
+		for i, want := range s.schema {
+			if a := ds.ColumnAt(i).Attr; a != want {
+				return false, fmt.Errorf("attribute %d is %v, stream schema has %v", i, a, want)
+			}
+		}
+		if first, last := ds.Timestamps()[0], s.timeAt(s.total-1); first <= last {
+			return false, fmt.Errorf("chunk starts at %d, window already ends at %d", first, last)
 		}
 	}
-	ts := ds.Timestamps()
-	if w.total > 0 {
-		if last := w.timeAt(w.total - 1); ts[0] <= last {
-			return false, fmt.Errorf("chunk starts at %d, window already ends at %d", ts[0], last)
-		}
-	}
-	for _, t := range ts {
-		w.times[w.total%len(w.times)] = t
-		w.total++
-	}
-	w.sinceCheck += len(ts)
+	w.s.Append(ds)
+	w.sinceCheck += ds.Rows()
 	if w.sinceCheck < w.p.CheckEvery {
 		return false, nil
 	}
@@ -120,48 +117,42 @@ func (w *Watch) Append(ds *metrics.Dataset) (check bool, err error) {
 	return w.Rows() >= w.p.WarmupRows, nil
 }
 
-// Times returns a copy of the window's timestamps, oldest first.
-func (w *Watch) Times() []int64 {
-	out := make([]int64, 0, w.Rows())
-	for r := w.total - w.Rows(); r < w.total; r++ {
-		out = append(out, w.timeAt(r))
-	}
-	return out
-}
+// Detect runs the stream's incremental Section 7 pipeline over the
+// window. The result aliases stream scratch, valid until the next
+// Detect (see Stream.Detect).
+func (w *Watch) Detect() Result { return w.s.Detect() }
 
-func (w *Watch) timeAt(abs int) int64 { return w.times[abs%len(w.times)] }
+// Window copies the window out as a standalone dataset: timestamps
+// and every column, oldest row first, in schema order. The caller owns
+// it; changing it changes neither the window nor later detection.
+func (w *Watch) Window() *metrics.Dataset { return w.s.window() }
 
 // Span turns a region detected over the current window (row i is the
 // i-th oldest window row) into an alert span [from, to) in the stream's
 // timestamps: the region's largest contiguous run, when it is at least
 // MinAnomalyRows long and not a duplicate. A finding is a duplicate
-// when it overlaps the last committed alert's span within the cooldown
-// horizon; it then extends that span, so a long anomaly keeps being
-// suppressed rather than re-alerting every check. Span never commits:
-// call Commit once the alert is actually raised.
+// when it overlaps the last alert's span within the cooldown horizon;
+// it then extends that span, so a long anomaly keeps being suppressed
+// rather than re-alerting every check. A span Span returns is recorded
+// as the last alert.
 func (w *Watch) Span(region *metrics.Region) (from, to int64, ok bool) {
 	lo, hi := LargestRun(region)
 	if hi-lo < w.p.MinAnomalyRows {
 		return 0, 0, false
 	}
-	base := w.total - w.Rows()
-	from, to = w.timeAt(base+lo), w.timeAt(base+hi-1)+1
+	base := w.s.total - w.s.rows
+	from, to = w.s.timeAt(base+lo), w.s.timeAt(base+hi-1)+1
 	if w.alerted && from <= w.to+int64(w.p.CooldownSeconds) && to >= w.from {
 		w.from, w.to = min(w.from, from), max(w.to, to)
 		return 0, 0, false
 	}
+	w.alerted = true
+	w.from, w.to = from, to
 	return from, to, true
 }
 
-// Commit records [from, to) as the last raised alert, the span later
-// findings are deduplicated against.
-func (w *Watch) Commit(from, to int64) {
-	w.alerted = true
-	w.from, w.to = from, to
-}
-
-// LastAlert returns the last committed alert's span as extended by the
-// findings it suppressed since; ok is false before the first Commit.
+// LastAlert returns the last alert's span as extended by the findings
+// it suppressed since; ok is false before Span first returns one.
 func (w *Watch) LastAlert() (from, to int64, ok bool) { return w.from, w.to, w.alerted }
 
 // LargestRun returns the half-open bounds of the longest run of

@@ -41,7 +41,7 @@ func TestPolicyDefaults(t *testing.T) {
 }
 
 func TestWatchRejectsBadChunks(t *testing.T) {
-	w := NewWatch(Policy{WindowRows: 50})
+	w := NewWatch(Policy{WindowRows: 50}, DefaultParams(), 1)
 	if _, err := w.Append(seqChunk(100, 10, "a", "b")); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestWatchRejectsBadChunks(t *testing.T) {
 	if _, err := w.Append(nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.Times(); len(got) != 10 || got[0] != 100 || got[9] != 109 {
+	if got := w.Window().Timestamps(); len(got) != 10 || got[0] != 100 || got[9] != 109 {
 		t.Fatalf("window times %v, want 100..109", got)
 	}
 	if _, err := w.Append(seqChunk(110, 5, "a", "b")); err != nil {
@@ -74,7 +74,7 @@ func TestWatchRejectsBadChunks(t *testing.T) {
 // the cadence keeps counting during warmup, and the window (and its
 // timestamps) slide once full.
 func TestWatchCadenceAndWarmup(t *testing.T) {
-	w := NewWatch(Policy{WindowRows: 50, CheckEvery: 10, WarmupRows: 30})
+	w := NewWatch(Policy{WindowRows: 50, CheckEvery: 10, WarmupRows: 30}, DefaultParams(), 1)
 	var due []bool
 	for i := 0; i < 8; i++ {
 		check, err := w.Append(seqChunk(int64(10*i), 10, "a"))
@@ -89,11 +89,11 @@ func TestWatchCadenceAndWarmup(t *testing.T) {
 			t.Fatalf("checks due %v, want %v", due, want)
 		}
 	}
-	if got := w.Times(); w.Rows() != 50 || len(got) != 50 || got[0] != 30 || got[49] != 79 {
+	if got := w.Window().Timestamps(); w.Rows() != 50 || len(got) != 50 || got[0] != 30 || got[49] != 79 {
 		t.Fatalf("window rows %d times [%d..%d], want 50 rows [30..79]", w.Rows(), got[0], got[len(got)-1])
 	}
 	// Chunks smaller than CheckEvery accumulate toward the next check.
-	w = NewWatch(Policy{WindowRows: 50, CheckEvery: 10, WarmupRows: 10})
+	w = NewWatch(Policy{WindowRows: 50, CheckEvery: 10, WarmupRows: 10}, DefaultParams(), 1)
 	for i, want := range []bool{false, false, true, false, false, true} {
 		if check, _ := w.Append(seqChunk(int64(4*i), 4, "a")); check != want {
 			t.Fatalf("chunk %d: check %v, want %v", i, check, want)
@@ -104,7 +104,7 @@ func TestWatchCadenceAndWarmup(t *testing.T) {
 // TestWatchSpanFloorAndDedup walks the policy's alert decisions over a
 // 100-row window holding timestamps 1000..1099.
 func TestWatchSpanFloorAndDedup(t *testing.T) {
-	w := NewWatch(Policy{WindowRows: 100, MinAnomalyRows: 5, CooldownSeconds: 50})
+	w := NewWatch(Policy{WindowRows: 100, MinAnomalyRows: 5, CooldownSeconds: 50}, DefaultParams(), 1)
 	if _, err := w.Append(seqChunk(1000, 100, "a")); err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +123,14 @@ func TestWatchSpanFloorAndDedup(t *testing.T) {
 	if !ok || from != 1020 || to != 1028 {
 		t.Fatalf("span [%d,%d) ok=%v, want [1020,1028)", from, to, ok)
 	}
-	// Without Commit nothing is remembered.
-	if _, _, alerted := w.LastAlert(); alerted {
-		t.Fatal("Span committed an alert")
+	// A span Span returned is remembered, and a repeat of it is
+	// suppressed.
+	if f, to, alerted := w.LastAlert(); !alerted || f != 1020 || to != 1028 {
+		t.Fatalf("remembered span [%d,%d) alerted=%v, want [1020,1028)", f, to, alerted)
 	}
-	if _, _, ok := w.Span(r); !ok {
-		t.Fatal("uncommitted span deduplicated")
+	if _, _, ok := w.Span(r); ok {
+		t.Fatal("a repeat of the returned span alerted")
 	}
-	w.Commit(from, to)
 	// Overlapping and cooldown-adjacent findings are suppressed and
 	// extend the remembered span.
 	if _, _, ok := w.Span(region(25, 40)); ok {

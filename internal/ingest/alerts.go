@@ -9,10 +9,10 @@ import (
 )
 
 // Alert is one anomaly notification fanned out to SSE subscribers and
-// the webhook. It carries metadata only — the instance's window keeps
-// moving, so consumers that want the evidence pull the instance's
-// current samples (or their own copy of the trace) and call
-// POST /v1/explain with the alert's [FromTime, ToTime) span.
+// the webhook. It carries metadata only, and no route serves an
+// instance's window: a consumer that wants the evidence explains from
+// its own copy of the trace, calling POST /v1/explain with the alert's
+// [FromTime, ToTime) span.
 type Alert struct {
 	Tenant        string   `json:"tenant"`
 	Instance      string   `json:"instance"`

@@ -2,22 +2,21 @@
 // per-second statistics pushed by thousands of database agents and
 // running the Section 7 detection pipeline incrementally per instance.
 // Where a Monitor (internal/monitor) watches one in-process metric
-// stream, the Registry here keeps a detect.Watch (the same alert
-// policy) and a detect.Stream per instance for an entire fleet behind
-// mutex-striped shards, with bounded per-instance queues that shed
-// overload instead of buffering it, a watchdog that flags and
-// eventually evicts streams that stopped reporting, and alert fan-out
-// to SSE subscribers and an optional webhook.
+// stream, the Registry here keeps one detect.Watch per instance (the
+// same alert policy, which also holds the instance's window) for an
+// entire fleet behind mutex-striped shards, with bounded per-instance
+// queues that shed overload instead of buffering it, a watchdog that
+// flags and eventually evicts streams that stopped reporting, and alert
+// fan-out to SSE subscribers and an optional webhook.
 //
 // Concurrency model: every instance owns a bounded queue of pending
 // chunks. Ingest appends to the queue under the instance lock and the
 // first goroutine to find no drainer active becomes the drainer,
-// processing the queue to empty (watch append, detect.Stream append,
-// detection tick) before handing the token back. Detection state is
-// therefore touched by exactly one goroutine at a time without a
-// dedicated goroutine per instance — the daemon's goroutine count stays
-// flat no matter how many instances are live, which is what the soak
-// test pins.
+// processing the queue to empty (watch append, detection tick) before
+// handing the token back. Detection state is therefore touched by
+// exactly one goroutine at a time without a dedicated goroutine per
+// instance — the daemon's goroutine count stays flat no matter how many
+// instances are live, which is what the soak test pins.
 package ingest
 
 import (
@@ -184,7 +183,7 @@ type shard struct {
 }
 
 // instance is one database's streaming state. Queue fields are guarded
-// by mu; detection state (watch, stream) is guarded by the single-flight
+// by mu; detection state (the watch) is guarded by the single-flight
 // drain token; status fields are atomics so the watchdog and the
 // listing endpoints read them lock-free.
 type instance struct {
@@ -196,9 +195,8 @@ type instance struct {
 	draining   bool
 	closed     bool
 
-	// Detection state — drainer-only.
-	watch  *detect.Watch
-	stream *detect.Stream
+	// Detection state and the window — drainer-only.
+	watch *detect.Watch
 
 	// Status — read lock-free by List/watchdog.
 	rows        atomic.Int64 // rows accepted
@@ -232,8 +230,9 @@ type Registry struct {
 	subClosed bool
 	webhookCh chan Alert
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	stop      chan struct{}
+	closeOnce sync.Once
+	wg        sync.WaitGroup
 }
 
 // New builds a registry and starts its watchdog (and webhook worker,
@@ -263,17 +262,15 @@ func New(cfg Config) *Registry {
 }
 
 // Close stops the watchdog and webhook workers and closes every alert
-// subscription. In-flight Ingest calls finish normally; the registry
-// remains readable afterwards.
+// subscription. It runs once: a concurrent or later call returns after
+// the first has finished. In-flight Ingest calls finish normally; the
+// registry remains readable afterwards.
 func (r *Registry) Close() {
-	select {
-	case <-r.stop:
-		return // already closed
-	default:
-	}
-	close(r.stop)
-	r.closeSubscriptions()
-	r.wg.Wait()
+	r.closeOnce.Do(func() {
+		close(r.stop)
+		r.closeSubscriptions()
+		r.wg.Wait()
+	})
 }
 
 // key builds the composite shard key. Tenant names cannot contain NUL,
@@ -306,8 +303,7 @@ func (r *Registry) instanceFor(tenant, name string) (*instance, error) {
 	}
 	inst := &instance{
 		tenant: tenant, name: name,
-		watch:  detect.NewWatch(r.policy),
-		stream: detect.NewStream(r.cfg.Detect, r.cfg.WindowRows, r.cfg.Workers),
+		watch: detect.NewWatch(r.policy, r.cfg.Detect, r.cfg.Workers),
 	}
 	inst.lastSample.Store(r.cfg.Now().UnixNano())
 	sh.instances[k] = inst
@@ -410,7 +406,6 @@ func (r *Registry) append(inst *instance, ds *metrics.Dataset) error {
 	if err != nil {
 		return fmt.Errorf("ingest: %w", err)
 	}
-	inst.stream.Append(ds)
 	inst.rows.Add(int64(ds.Rows()))
 	inst.windowRows.Store(int64(inst.watch.Rows()))
 	r.rowsTotal.Add(int64(ds.Rows()))
@@ -425,13 +420,12 @@ func (r *Registry) append(inst *instance, ds *metrics.Dataset) error {
 // for a finding the instance's watch accepts.
 func (r *Registry) detectTick(inst *instance) {
 	start := time.Now()
-	res := inst.stream.Detect()
+	res := inst.watch.Detect()
 	r.m.detectSeconds.Observe(time.Since(start))
 	from, to, ok := inst.watch.Span(res.Abnormal)
 	if !ok {
 		return
 	}
-	inst.watch.Commit(from, to)
 	inst.alerts.Add(1)
 	inst.lastAlert.Store(r.cfg.Now().Unix())
 	r.alertsTotal.Add(1)

@@ -73,26 +73,28 @@ func simTrace(t testing.TB, seconds int, injs []anomaly.Injection, seed int64) *
 func chunked(t testing.TB, ds *metrics.Dataset, size int) []*metrics.Dataset {
 	t.Helper()
 	var out []*metrics.Dataset
-	ts := ds.Timestamps()
 	for lo := 0; lo < ds.Rows(); lo += size {
-		hi := lo + size
-		if hi > ds.Rows() {
-			hi = ds.Rows()
+		out = append(out, rowRange(t, ds, lo, min(lo+size, ds.Rows())))
+	}
+	return out
+}
+
+// rowRange copies rows [lo, hi) of ds, every column, into a dataset of
+// their own.
+func rowRange(t testing.TB, ds *metrics.Dataset, lo, hi int) *metrics.Dataset {
+	t.Helper()
+	out := metrics.MustNewDataset(ds.Timestamps()[lo:hi])
+	for a := 0; a < ds.NumAttrs(); a++ {
+		col := ds.ColumnAt(a)
+		var err error
+		if col.Attr.Type == metrics.Numeric {
+			err = out.AddNumeric(col.Attr.Name, col.Num[lo:hi])
+		} else {
+			err = out.AddCategorical(col.Attr.Name, col.Cat[lo:hi])
 		}
-		chunk := metrics.MustNewDataset(ts[lo:hi])
-		for a := 0; a < ds.NumAttrs(); a++ {
-			col := ds.ColumnAt(a)
-			var err error
-			if col.Attr.Type == metrics.Numeric {
-				err = chunk.AddNumeric(col.Attr.Name, col.Num[lo:hi])
-			} else {
-				err = chunk.AddCategorical(col.Attr.Name, col.Cat[lo:hi])
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
+		if err != nil {
+			t.Fatal(err)
 		}
-		out = append(out, chunk)
 	}
 	return out
 }
@@ -401,6 +403,69 @@ func TestIngestShortWindowAlerts(t *testing.T) {
 		}
 	default:
 		t.Fatal("no alert from a 100-row window over a 40-second I/O saturation")
+	}
+}
+
+// TestInstanceWindowHoldsTrace: an instance's watch holds the last
+// WindowRows rows it was fed, every column including the categorical
+// ones, which is the evidence an alert's diagnosis would run on.
+func TestInstanceWindowHoldsTrace(t *testing.T) {
+	trace := simTrace(t, 900, []anomaly.Injection{
+		{Kind: anomaly.IOSaturation, Start: 700, Duration: 60},
+	}, 3)
+	r := New(Config{WindowRows: 300})
+	defer r.Close()
+	for _, chunk := range chunked(t, trace, 30) {
+		if err := r.Ingest("acme", "db-1", chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inst, err := r.instanceFor("acme", "db-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := inst.watch.Window()
+	cats := 0
+	for _, a := range got.Attributes() {
+		if a.Type == metrics.Categorical {
+			cats++
+		}
+	}
+	if cats == 0 {
+		t.Fatal("the window holds no categorical column")
+	}
+	if want := rowRange(t, trace, trace.Rows()-300, trace.Rows()); !got.ContentEqual(want) {
+		t.Fatalf("window differs from the trace's last 300 rows: %d rows [%d..%d], want %d rows [%d..%d]",
+			got.Rows(), got.Timestamps()[0], got.Timestamps()[got.Rows()-1],
+			want.Rows(), want.Timestamps()[0], want.Timestamps()[want.Rows()-1])
+	}
+}
+
+// TestCloseConcurrent: Close runs once however many goroutines call it
+// at the same time, and none of them returns before the subscriptions
+// it ends are closed.
+func TestCloseConcurrent(t *testing.T) {
+	const registries, callers = 2000, 4
+	for i := 0; i < registries && !t.Failed(); i++ {
+		r := New(Config{Shards: 1})
+		sub := r.Subscribe("t")
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r.Close()
+				select {
+				case _, open := <-sub.C:
+					if open {
+						t.Error("an idle registry delivered an alert")
+					}
+				default:
+					t.Error("Close returned before the subscriptions were closed")
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// soakDuration keeps the CI run short; `make soak-ingest` raises it.
+// soakDuration keeps the CI run short; `make soak SOAK=5m` raises it.
 var soakDuration = flag.Duration("soak", 2*time.Second, "ingest soak test duration")
 
 // TestIngestSoakFlatFootprint churns the registry — instances appear,

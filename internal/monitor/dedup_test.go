@@ -1,13 +1,9 @@
 package monitor
 
 import (
-	"bytes"
-	"log/slog"
-	"strings"
 	"testing"
 
 	"dbsherlock/internal/metrics"
-	"dbsherlock/internal/obs"
 )
 
 // spanDetector is a scripted detector: call i flags the window rows
@@ -165,46 +161,5 @@ func TestLargestRunFirstOnTie(t *testing.T) {
 	r2.AddRange(4, 9)
 	if lo, hi := largestRun(r2); lo != 4 || hi != 9 {
 		t.Fatalf("largestRun = [%d,%d), want [4,9)", lo, hi)
-	}
-}
-
-// TestSnapshotErrorCounted corrupts one of the window's column rings
-// in-package so materialization fails, and checks the detection pass
-// is skipped, the dbsherlock_monitor_snapshot_errors_total counter
-// moves, and the failure is logged.
-func TestSnapshotErrorCounted(t *testing.T) {
-	var logBuf bytes.Buffer
-	reg := obs.NewRegistry()
-	cfg := dedupConfig(&spanDetector{spans: [][2]int64{{0, 50}}})
-	cfg.CheckEvery = 1000 // only the explicit runDetection below may run
-	cfg.Registry = reg
-	cfg.Logger = slog.New(slog.NewTextHandler(&logBuf, nil))
-	var alerts []Alert
-	m, err := New(cfg, func(a Alert) { alerts = append(alerts, a) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fill past warmup without crossing CheckEvery, then corrupt and
-	// force a detection pass directly.
-	for _, c := range chunked(t, flatTrace(t, 15), 5) {
-		if err := m.Append(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m.cols[0].num.n-- // one value short of the window's timestamps
-	m.runDetection()
-	if len(alerts) != 0 {
-		t.Fatalf("corrupted window still alerted: %+v", alerts)
-	}
-	if got := m.snapshotErrors.Value(); got != 1 {
-		t.Fatalf("snapshot_errors counter = %d, want 1", got)
-	}
-	if !strings.Contains(logBuf.String(), "snapshot failed") {
-		t.Fatalf("snapshot failure not logged: %q", logBuf.String())
-	}
-	var buf bytes.Buffer
-	reg.WritePrometheus(&buf)
-	if !strings.Contains(buf.String(), "dbsherlock_monitor_snapshot_errors_total 1") {
-		t.Fatalf("exposition missing snapshot error counter:\n%s", buf.String())
 	}
 }

@@ -2,24 +2,23 @@
 // one in-process stream of per-second statistics — the always-on
 // counterpart of the interactive workflow, mirroring how DBSeer watches
 // a production system. The alert policy (schema and timeline checks,
-// check cadence, warmup, min-run floor, cooldown dedup) is detect.Watch,
-// shared with the fleet ingestion plane in internal/ingest. A Monitor
-// adds what is its own: the window's column rings, so an alert carries
-// a snapshot of the window; the dispatch to a custom Detector; and the
-// dbsherlock_monitor_* instruments.
+// check cadence, warmup, min-run floor, cooldown dedup) and the window
+// itself are detect.Watch, shared with the fleet ingestion plane in
+// internal/ingest. A Monitor adds what is its own: the alert callback
+// and the window snapshot it carries, the dispatch to a custom
+// Detector, and the dbsherlock_monitor_* instruments.
 //
-// With the default DBSCAN detector, detection runs through
-// detect.Stream: per-attribute state advances incrementally with the
-// window and no dataset is materialized until an alert actually fires.
-// Custom detectors run on a window snapshot every pass. The emitted
-// alerts are byte-identical to running the batch detector on a deep
-// window snapshot every tick (pinned by golden tests).
+// With the default DBSCAN detector, detection runs on the watch's
+// incremental stream: per-attribute state advances with the window and
+// no dataset is materialized until an alert actually fires. Custom
+// detectors run on a window snapshot every pass. The emitted alerts are
+// byte-identical to running the batch detector on a deep window
+// snapshot every tick (pinned by golden tests).
 package monitor
 
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"time"
 
 	"dbsherlock/internal/detect"
@@ -67,18 +66,14 @@ type Config struct {
 	WarmupRows int
 	// Registry, when non-nil, receives the monitor's counters
 	// (dbsherlock_monitor_rows_ingested_total, _detections_run_total,
-	// _alerts_total, _snapshot_errors_total, _attrs_selected_total,
-	// _points_clustered_total), the _detection_seconds histogram, and
-	// the _last_epsilon gauge, so they show up on the service's
-	// /metrics scrape.
+	// _alerts_total, _attrs_selected_total, _points_clustered_total),
+	// the _detection_seconds histogram, and the _last_epsilon gauge, so
+	// they show up on the service's /metrics scrape.
 	Registry *obs.Registry
 	// Workers bounds the per-attribute fan-out of each streaming
 	// detection pass (<= 0: one worker per CPU). Detection output is
 	// byte-identical for any worker count.
 	Workers int
-	// Logger, when non-nil, receives structured warnings (e.g. window
-	// snapshot failures). Nil stays silent.
-	Logger *slog.Logger
 }
 
 // fillDefaults applies the defaults in place and returns the alert
@@ -101,32 +96,21 @@ func (c *Config) fillDefaults() detect.Policy {
 type Monitor struct {
 	cfg     Config
 	onAlert func(Alert)
-	logger  *slog.Logger
 
 	watch *detect.Watch
-	// stream is the incremental fast path, non-nil when Detector is the
-	// Section 7 DBSCAN detector.
-	stream *detect.Stream
-	cols   []column // the window's values, fixed by the first chunk
+	// streaming is set when Detector is the Section 7 DBSCAN detector,
+	// which runs on the watch's incremental stream.
+	streaming bool
 
 	// Optional observability instruments (nil when Config.Registry is
 	// nil; the obs types are nil-safe no-ops in that case).
 	rowsIngested     *obs.Counter
 	detectionsRun    *obs.Counter
 	alertsRaised     *obs.Counter
-	snapshotErrors   *obs.Counter
 	attrsSelected    *obs.Counter
 	pointsClustered  *obs.Counter
 	detectionSeconds *obs.Histogram
 	lastEpsilon      *obs.Gauge
-}
-
-// column is one attribute's window ring; only the ring matching
-// attr.Type is allocated.
-type column struct {
-	attr metrics.Attribute
-	num  ring[float64]
-	cat  ring[string]
 }
 
 // New builds a monitor; onAlert fires synchronously from Append.
@@ -135,12 +119,12 @@ func New(cfg Config, onAlert func(Alert)) (*Monitor, error) {
 		return nil, errors.New("monitor: onAlert must be non-nil")
 	}
 	policy := cfg.fillDefaults()
-	m := &Monitor{cfg: cfg, onAlert: onAlert, logger: cfg.Logger, watch: detect.NewWatch(policy)}
-	if dd, isDBSCAN := cfg.Detector.(detect.DBSCANDetector); isDBSCAN {
-		m.stream = detect.NewStream(dd.Params, cfg.WindowSeconds, cfg.Workers)
-	}
-	if m.logger == nil {
-		m.logger = obs.DiscardLogger()
+	// A custom detector never runs the stream's detection, so the zero
+	// Params it then gets are never read.
+	dd, streaming := cfg.Detector.(detect.DBSCANDetector)
+	m := &Monitor{
+		cfg: cfg, onAlert: onAlert, streaming: streaming,
+		watch: detect.NewWatch(policy, dd.Params, cfg.Workers),
 	}
 	if reg := cfg.Registry; reg != nil {
 		m.rowsIngested = reg.NewCounterFamily(
@@ -152,9 +136,6 @@ func New(cfg Config, onAlert func(Alert)) (*Monitor, error) {
 		m.alertsRaised = reg.NewCounterFamily(
 			"dbsherlock_monitor_alerts_total",
 			"Alerts raised after deduplication and cooldown.").With()
-		m.snapshotErrors = reg.NewCounterFamily(
-			"dbsherlock_monitor_snapshot_errors_total",
-			"Window snapshot failures (malformed window; the pass is skipped).").With()
 		m.attrsSelected = reg.NewCounterFamily(
 			"dbsherlock_monitor_attrs_selected_total",
 			"Attributes selected by potential power, summed over detection passes.").With()
@@ -192,54 +173,11 @@ func (m *Monitor) Append(ds *metrics.Dataset) error {
 	if err != nil {
 		return fmt.Errorf("monitor: %w", err)
 	}
-	if m.cols == nil {
-		for _, a := range ds.Attributes() {
-			c := column{attr: a}
-			if a.Type == metrics.Numeric {
-				c.num = newRing[float64](m.cfg.WindowSeconds)
-			} else {
-				c.cat = newRing[string](m.cfg.WindowSeconds)
-			}
-			m.cols = append(m.cols, c)
-		}
-	}
-	for i := range m.cols {
-		col := ds.ColumnAt(i)
-		for _, v := range col.Num {
-			m.cols[i].num.push(v)
-		}
-		for _, v := range col.Cat {
-			m.cols[i].cat.push(v)
-		}
-	}
 	m.rowsIngested.Add(int64(ds.Rows()))
-	if m.stream != nil {
-		m.stream.Append(ds)
-	}
 	if check {
 		m.runDetection()
 	}
 	return nil
-}
-
-// snapshot copies the window into a standalone Dataset — alert path
-// and custom detectors only, never the streaming tick.
-func (m *Monitor) snapshot() (*metrics.Dataset, error) {
-	ds, err := metrics.NewDataset(m.watch.Times())
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range m.cols {
-		if c.attr.Type == metrics.Numeric {
-			err = ds.AddNumeric(c.attr.Name, c.num.values())
-		} else {
-			err = ds.AddCategorical(c.attr.Name, c.cat.values())
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return ds, nil
 }
 
 // runDetection runs one detection pass over the window and raises an
@@ -252,10 +190,10 @@ func (m *Monitor) runDetection() {
 	var window *metrics.Dataset // materialized lazily, on the alert path
 	var region *metrics.Region
 	var selected []string
-	if m.stream != nil {
+	if m.streaming {
 		// Incremental Section 7 pipeline: no window copy, and the alert
 		// can carry the selected attributes without a second pass.
-		res := m.stream.Detect()
+		res := m.watch.Detect()
 		region, selected = res.Abnormal, res.SelectedAttrs
 		m.attrsSelected.Add(int64(len(selected)))
 		if res.Epsilon > 0 {
@@ -263,12 +201,7 @@ func (m *Monitor) runDetection() {
 			m.lastEpsilon.Set(res.Epsilon)
 		}
 	} else {
-		var err error
-		if window, err = m.snapshot(); err != nil {
-			m.snapshotErrors.Inc()
-			m.logger.Warn("monitor: window snapshot failed, skipping detection pass", "err", err)
-			return
-		}
+		window = m.watch.Window()
 		var ok bool
 		if region, ok = m.cfg.Detector.FindRegion(window); !ok {
 			return
@@ -279,15 +212,8 @@ func (m *Monitor) runDetection() {
 		return
 	}
 	if window == nil {
-		var err error
-		if window, err = m.snapshot(); err != nil {
-			// The alert is not committed: the next pass can retry it.
-			m.snapshotErrors.Inc()
-			m.logger.Warn("monitor: window snapshot failed, dropping alert", "err", err)
-			return
-		}
+		window = m.watch.Window()
 	}
-	m.watch.Commit(from, to)
 	m.alertsRaised.Inc()
 	// The streaming detector reuses its region and attribute scratch
 	// across ticks; clone what escapes into the alert.
