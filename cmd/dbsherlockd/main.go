@@ -2,7 +2,7 @@
 // statistics datasets, detect and explain anomalies, teach causes, and
 // manage the causal-model store.
 //
-//	dbsherlockd -addr :8080 -models models.json
+//	dbsherlockd -addr :8080 -data-dir /var/lib/dbsherlock
 //
 // Quick tour with curl (after generating a trace with cmd/datagen):
 //
@@ -46,23 +46,22 @@
 //
 // Persistence flags: -data-dir opens a durable store (write-ahead log +
 // snapshots) in the given directory; every dataset upload, learned
-// model, and model import is committed there and replayed on restart.
-// -tenant-default names the tenant unlabelled requests (no
-// X-DBSherlock-Tenant header) belong to. Without -data-dir all state is
-// in-memory and lost on exit.
+// model, and model import is committed there before it is answered and
+// replayed on restart, so `dbsherlock learn -data-dir D` can seed the
+// models a `dbsherlockd -data-dir D` serves, and PUT /v1/models imports
+// a models.json. -tenant-default names the tenant unlabelled requests
+// (no X-DBSherlock-Tenant header) belong to. Without -data-dir all
+// state is in-memory and lost on exit.
 //
-// The legacy -models file (if given) is loaded at startup and written
-// back on SIGINT/SIGTERM shutdown. Shutdown is graceful: the listener
-// closes, in-flight requests drain (up to -drain), the durable store is
-// flushed and closed, logs flush, and the process exits 0.
+// Shutdown is graceful: the listener closes, in-flight requests drain
+// (up to -drain), the durable store is flushed and closed, logs flush,
+// and the process exits 0.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"log"
 	"log/slog"
 	"net/http"
@@ -81,7 +80,6 @@ import (
 // config collects the daemon's flag values.
 type config struct {
 	addr        string
-	models      string
 	theta       float64
 	workers     int
 	logLevel    string
@@ -110,7 +108,6 @@ type config struct {
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
-	flag.StringVar(&cfg.models, "models", "", "optional model store file (loaded at start, saved on shutdown)")
 	flag.Float64Var(&cfg.theta, "theta", 0.05, "normalized difference threshold for learned models")
 	flag.IntVar(&cfg.workers, "workers", 0, "diagnosis worker pool size per request (0 = GOMAXPROCS, 1 = sequential)")
 	flag.StringVar(&cfg.logLevel, "log-level", "info", "log level: debug|info|warn|error")
@@ -159,11 +156,6 @@ func run(cfg config) error {
 	analyzer, err := dbsherlock.New(analyzerOpts...)
 	if err != nil {
 		return err
-	}
-	if cfg.models != "" {
-		if err := loadStore(analyzer, cfg.models); err != nil {
-			return fmt.Errorf("load models: %w", err)
-		}
 	}
 	if err := store.ValidTenant(cfg.tenant); err != nil {
 		return fmt.Errorf("invalid -tenant-default %q: %w", cfg.tenant, err)
@@ -244,7 +236,6 @@ func run(cfg config) error {
 	go func() { errCh <- srv.ListenAndServe() }()
 	logger.Info("dbsherlockd listening",
 		slog.String("addr", cfg.addr),
-		slog.String("model_store", storeName(cfg.models)),
 		slog.String("data_dir", storeName(cfg.dataDir)),
 		slog.String("tenant_default", cfg.tenant),
 		slog.Bool("tracing", cfg.trace),
@@ -276,12 +267,6 @@ func run(cfg config) error {
 	// Stop the ingest plane's watchdog/webhook workers and end every SSE
 	// subscription after the listener has drained.
 	handler.Close()
-	if cfg.models != "" {
-		if err := saveStore(analyzer, cfg.models); err != nil {
-			return fmt.Errorf("save models: %w", err)
-		}
-		logger.Info("model store saved", slog.String("path", cfg.models))
-	}
 	// Flush and close the durable log before reporting a clean stop; a
 	// failed final sync must fail the process, not vanish into a defer.
 	if err := st.Close(); err != nil {
@@ -294,30 +279,9 @@ func run(cfg config) error {
 	return nil
 }
 
-func storeName(models string) string {
-	if models == "" {
+func storeName(dir string) string {
+	if dir == "" {
 		return "none"
 	}
-	return models
-}
-
-func loadStore(a *dbsherlock.Analyzer, path string) error {
-	f, err := os.Open(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return a.LoadModels(f)
-}
-
-func saveStore(a *dbsherlock.Analyzer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return a.SaveModels(f)
+	return dir
 }

@@ -53,7 +53,6 @@ type Analyzer struct {
 	params    core.Params
 	knowledge *domain.Knowledge
 	lambda    float64
-	detectP   detect.Params
 	tracing   bool
 
 	// mu guards the repo pointer (swapped by LoadModels); the Repository
@@ -76,10 +75,9 @@ type Option func(*Analyzer) error
 // (R=250, theta=0.2, delta=10, lambda=20%).
 func New(opts ...Option) (*Analyzer, error) {
 	a := &Analyzer{
-		params:  core.DefaultParams(),
-		repo:    causal.NewRepository(),
-		lambda:  causal.DefaultLambda,
-		detectP: detect.DefaultParams(),
+		params: core.DefaultParams(),
+		repo:   causal.NewRepository(),
+		lambda: causal.DefaultLambda,
 	}
 	for _, opt := range opts {
 		if err := opt(a); err != nil {
@@ -362,22 +360,22 @@ func (a *Analyzer) Diagnose(ctx context.Context, req DiagnoseRequest) (*Diagnose
 
 // explainCtx is the cold half of Diagnose: Algorithm 1, domain-knowledge
 // pruning and separation-power scoring. It returns the explanation
-// without causes and the trace-free evaluator the causal models are
-// ranked against, which Algorithm 1 filled with every attribute's
-// partition space. ctx errors are returned unwrapped so callers can
-// match them with errors.Is.
+// without causes and the trace-free evaluator, holding every
+// attribute's partition space, that the causal models are ranked
+// against. ctx errors are returned unwrapped so callers can match them
+// with errors.Is.
 func (a *Analyzer) explainCtx(ctx context.Context, ds *Dataset, abnormal, normal *Region, tr *obs.Trace) (*Explanation, *core.Evaluator, error) {
 	abnormal, normal, err := resolveRegions(ds, abnormal, normal)
 	if err != nil {
 		return nil, nil, err
 	}
-	ev := core.NewEvaluator(ds, abnormal, normal, a.params)
+	ev, err := core.NewEvaluator(ctx, ds, abnormal, normal, a.params, tr)
+	if err != nil {
+		return nil, nil, engineErr(ctx, err)
+	}
 	preds, err := ev.Generate(ctx, tr)
 	if err != nil {
-		if ctx.Err() != nil {
-			return nil, nil, ctx.Err()
-		}
-		return nil, nil, fmt.Errorf("dbsherlock: %w", err)
+		return nil, nil, err
 	}
 	expl := &Explanation{Predicates: preds}
 	if a.knowledge != nil {
@@ -440,10 +438,7 @@ func (a *Analyzer) LearnCauseContext(ctx context.Context, cause string, ds *Data
 	}
 	preds, err := core.GenerateCtx(ctx, ds, abnormal, normal, a.params)
 	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("dbsherlock: %w", err)
+		return nil, engineErr(ctx, err)
 	}
 	if a.knowledge != nil {
 		preds, _ = a.knowledge.Apply(preds, ds)
@@ -469,15 +464,30 @@ func (a *Analyzer) Causes() []string { return a.repository().Causes() }
 
 // RankAllContext computes every known model's confidence for the given
 // anomaly without applying the lambda threshold (useful for inspecting
-// margins) — DiagnoseResult.AllCauses without Algorithm 1. Model
-// scoring checks ctx between models and returns ctx.Err() promptly once
-// it fires.
+// margins) — DiagnoseResult.AllCauses without predicate extraction. It
+// validates the regions and builds every attribute's partition space
+// as Diagnose does; construction and model scoring check ctx between
+// work items and return ctx.Err() promptly once it fires.
 func (a *Analyzer) RankAllContext(ctx context.Context, ds *Dataset, abnormal, normal *Region) ([]RankedCause, error) {
 	abnormal, normal, err := resolveRegions(ds, abnormal, normal)
 	if err != nil {
 		return nil, err
 	}
-	return a.repository().RankCtx(ctx, ds, abnormal, normal, a.params)
+	ranked, err := a.repository().RankCtx(ctx, ds, abnormal, normal, a.params)
+	if err != nil {
+		return nil, engineErr(ctx, err)
+	}
+	return ranked, nil
+}
+
+// engineErr reports a diagnosis-engine failure: ctx's own error,
+// unwrapped so callers can match it with errors.Is, once ctx has fired,
+// and the engine's error under the package prefix otherwise.
+func engineErr(ctx context.Context, err error) error {
+	if ctx.Err() != nil {
+		return ctx.Err()
+	}
+	return fmt.Errorf("dbsherlock: %w", err)
 }
 
 // DetectResult is the outcome of automatic anomaly detection.
@@ -509,7 +519,7 @@ func (a *Analyzer) DetectContext(ctx context.Context, ds *Dataset) (*DetectResul
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	res, err := detect.DetectCtx(ctx, ds, a.detectP)
+	res, err := detect.DetectCtx(ctx, ds, detect.DefaultParams())
 	if err != nil {
 		return nil, err
 	}

@@ -17,9 +17,8 @@ import (
 // models against the retained spaces, turning a repeat diagnosis into a
 // sub-millisecond operation with output identical to a cold run.
 //
-// A DiagnosisState is immutable apart from the evaluator's internal
-// space cache (which only grows, and is safe for concurrent use), so
-// one state may serve any number of concurrent diagnoses. Reuse is
+// A DiagnosisState is immutable, its evaluator included, so one state
+// may serve any number of concurrent diagnoses. Reuse is
 // validated, not trusted: Diagnose checks the state against the
 // request's dataset (pointer identity and generation, so a column added
 // since the capture invalidates it), regions (exact row equality),
@@ -42,16 +41,13 @@ type DiagnosisState struct {
 // accepts reports whether the state may serve req, that is whether it
 // was captured from an equivalent diagnosis context: same dataset
 // instance at the same generation, same resolved regions, same
-// generation parameters (traces excluded — they never influence
-// output), and same installed domain knowledge. A nil or zero state
-// accepts nothing.
+// generation parameters, and same installed domain knowledge. A nil or
+// zero state accepts nothing.
 func (st *DiagnosisState) accepts(a *Analyzer, req DiagnoseRequest) bool {
 	if st == nil || st.ev == nil || st.ev.Dataset() != req.Dataset || st.gen != req.Dataset.Generation() {
 		return false
 	}
-	want := a.params
-	want.Trace = nil
-	if st.ev.Params() != want || st.knowledge != a.knowledge {
+	if st.ev.Params() != a.params || st.knowledge != a.knowledge {
 		return false
 	}
 	abnormal, normal, err := resolveRegions(req.Dataset, req.Abnormal, req.Normal)

@@ -171,27 +171,27 @@ func TestDiagnoseReuseMismatchRunsCold(t *testing.T) {
 }
 
 // TestDiagnoseTraceCountsSpaces: a diagnosis records the partition
-// spaces it built and reused into the request's trace. A cold diagnosis
-// builds each attribute's space once, in Algorithm 1, and records the
-// same counts whether or not it captures state; a diagnosis reusing
-// that state builds nothing.
+// spaces it built into the request's trace. A cold diagnosis builds
+// each attribute's space once, when it constructs the evaluator, and
+// records the same count whether or not it captures state; a diagnosis
+// reusing that state builds nothing.
 func TestDiagnoseTraceCountsSpaces(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			a := learnedAnalyzer(t, workers, false)
 			ds, abn := simulateAnomaly(t, dbsherlock.LockContention, 99)
-			diagnose := func(req dbsherlock.DiagnoseRequest) (*dbsherlock.DiagnoseResult, int64, int64) {
+			diagnose := func(req dbsherlock.DiagnoseRequest) (*dbsherlock.DiagnoseResult, int64) {
 				t.Helper()
 				req.Dataset, req.Abnormal, req.Trace = ds, abn, true
 				res, err := a.Diagnose(context.Background(), req)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return res, res.Trace.Counters["spaces_built"], res.Trace.Counters["spaces_reused"]
+				return res, res.Trace.Counters["spaces_built"]
 			}
-			_, plainBuilt, plainReused := diagnose(dbsherlock.DiagnoseRequest{})
-			cold, coldBuilt, coldReused := diagnose(dbsherlock.DiagnoseRequest{CaptureState: true})
-			_, hotBuilt, hotReused := diagnose(dbsherlock.DiagnoseRequest{Reuse: cold.State})
+			_, plainBuilt := diagnose(dbsherlock.DiagnoseRequest{})
+			cold, coldBuilt := diagnose(dbsherlock.DiagnoseRequest{CaptureState: true})
+			_, hotBuilt := diagnose(dbsherlock.DiagnoseRequest{Reuse: cold.State})
 			if plainBuilt == 0 {
 				t.Fatal("a cold diagnosis recorded no partition-space builds")
 			}
@@ -199,12 +199,11 @@ func TestDiagnoseTraceCountsSpaces(t *testing.T) {
 				t.Errorf("a cold diagnosis built %d partition spaces for %d attributes, want each built once by Algorithm 1 and none by ranking",
 					plainBuilt, ds.NumAttrs())
 			}
-			if coldBuilt != plainBuilt || coldReused != plainReused {
-				t.Errorf("capturing run counted %d built / %d reused, plain run %d / %d",
-					coldBuilt, coldReused, plainBuilt, plainReused)
+			if coldBuilt != plainBuilt {
+				t.Errorf("capturing run counted %d built, plain run %d", coldBuilt, plainBuilt)
 			}
-			if hotBuilt != 0 || hotReused == 0 {
-				t.Errorf("reused run counted %d built / %d reused, want 0 / >0", hotBuilt, hotReused)
+			if hotBuilt != 0 {
+				t.Errorf("reused run counted %d built, want 0", hotBuilt)
 			}
 		})
 	}

@@ -6,6 +6,7 @@
 package causal
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -77,13 +78,19 @@ func (m *Model) String() string {
 
 // Confidence computes Equation (3): the average partition-space
 // separation power of the model's effect predicates over the given
-// anomaly, in [-1, 1]. A model with no predicates has zero confidence.
+// anomaly, in [-1, 1]. A model with no predicates, or an anomaly
+// context core.NewEvaluator rejects (an empty or overlapping region),
+// has zero confidence.
 func (m *Model) Confidence(ds *metrics.Dataset, abnormal, normal *metrics.Region, p core.Params) float64 {
-	return m.ConfidenceEval(core.NewEvaluator(ds, abnormal, normal, p))
+	ev, err := core.NewEvaluator(context.Background(), ds, abnormal, normal, p, nil)
+	if err != nil {
+		return 0
+	}
+	return m.ConfidenceEval(ev)
 }
 
-// ConfidenceEval is Confidence against a prepared evaluator, letting
-// callers that score many models on the same anomaly share the cached
+// ConfidenceEval is Confidence against a built evaluator, letting
+// callers that score many models on the same anomaly share its
 // partition spaces.
 func (m *Model) ConfidenceEval(ev *core.Evaluator) float64 {
 	if len(m.Predicates) == 0 {

@@ -110,9 +110,15 @@ func TestRankEvalSharedEvaluatorParallel(t *testing.T) {
 	ds, abnormal, normal, repo := rankTestbed(t, 7)
 	p := core.DefaultParams()
 	p.Workers = 1
-	golden, _ := repo.RankEvalCtx(context.Background(), core.NewEvaluator(ds, abnormal, normal, p), nil)
+	ev, err := core.NewEvaluator(context.Background(), ds, abnormal, normal, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, _ := repo.RankEvalCtx(context.Background(), ev, nil)
 	p.Workers = 8
-	ev := core.NewEvaluator(ds, abnormal, normal, p)
+	if ev, err = core.NewEvaluator(context.Background(), ds, abnormal, normal, p, nil); err != nil {
+		t.Fatal(err)
+	}
 	for run := 0; run < 3; run++ {
 		got, _ := repo.RankEvalCtx(context.Background(), ev, nil)
 		for i := range got {

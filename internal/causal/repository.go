@@ -161,47 +161,35 @@ func (r *Repository) snapshot() ([]string, []*Model) {
 // also inspect margins (Section 8.3). Models are scored concurrently
 // across p.Workers workers; the result is byte-identical to a
 // sequential run because each model's confidence is computed
-// independently, collected by index, and sorted deterministically.
+// independently, collected by index, and sorted deterministically. It
+// returns nil for a context core.NewEvaluator rejects.
 func (r *Repository) Rank(ds *metrics.Dataset, abnormal, normal *metrics.Region, p core.Params) []RankedCause {
 	out, _ := r.RankCtx(context.Background(), ds, abnormal, normal, p)
 	return out
 }
 
-// RankCtx is Rank with cooperative cancellation: scoring stops between
-// models once ctx fires and ctx.Err() is returned with a nil slice. An
-// uncancelled call is byte-identical to Rank.
+// RankCtx is Rank with cooperative cancellation and errors: it builds
+// the context's evaluator (core.NewEvaluator, which validates the
+// regions) and ranks against it, and it returns ctx.Err() with a nil
+// slice once ctx fires. An uncancelled call is byte-identical to Rank.
 func (r *Repository) RankCtx(ctx context.Context, ds *metrics.Dataset, abnormal, normal *metrics.Region, p core.Params) ([]RankedCause, error) {
-	return r.RankEvalCtx(ctx, core.NewEvaluator(ds, abnormal, normal, p), p.Trace)
-}
-
-// RankEvalCtx is RankCtx against a prepared evaluator, whose partition
-// spaces every model shares and which may outlive this call (the
-// diagnosis cache reuses one across requests). It first builds the
-// spaces of every attribute the models probe, then scores the models
-// against that warm cache; ctx is checked between both kinds of work
-// item. Stage timings and work counts go to tr (nil-safe), which never
-// influences the ranking itself.
-func (r *Repository) RankEvalCtx(ctx context.Context, ev *core.Evaluator, tr *obs.Trace) ([]RankedCause, error) {
-	order, models := r.snapshot()
-	workers := core.ResolveWorkers(ev.Params().Workers)
-	start := tr.Start()
-	n := 0
-	for _, m := range models {
-		n += len(m.Predicates)
-	}
-	attrs := make([]string, 0, n)
-	for _, m := range models {
-		for _, p := range m.Predicates {
-			attrs = append(attrs, p.Attr)
-		}
-	}
-	if err := ev.PrepareCtx(ctx, attrs, workers, tr); err != nil {
+	ev, err := core.NewEvaluator(ctx, ds, abnormal, normal, p, nil)
+	if err != nil {
 		return nil, err
 	}
-	tr.EndStage(obs.StagePrepare, start)
-	start = tr.Start()
+	return r.RankEvalCtx(ctx, ev, nil)
+}
+
+// RankEvalCtx is RankCtx against a built evaluator, whose partition
+// spaces every model shares and which may outlive this call (the
+// diagnosis cache reuses one across requests). Scoring checks ctx
+// between models. Stage timings and work counts go to tr (nil-safe),
+// which never influences the ranking itself.
+func (r *Repository) RankEvalCtx(ctx context.Context, ev *core.Evaluator, tr *obs.Trace) ([]RankedCause, error) {
+	order, models := r.snapshot()
+	start := tr.Start()
 	out := make([]RankedCause, len(models))
-	err := core.ForEachCtx(ctx, len(models), workers, func(i int) {
+	err := core.ForEachCtx(ctx, len(models), core.ResolveWorkers(ev.Params().Workers), func(i int) {
 		out[i] = RankedCause{
 			Cause:      order[i],
 			Confidence: models[i].ConfidenceEval(ev),

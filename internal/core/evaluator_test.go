@@ -2,20 +2,31 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"dbsherlock/internal/metrics"
-	"dbsherlock/internal/obs"
 )
+
+// newEvaluator builds a test's evaluator, failing the test on error.
+func newEvaluator(t testing.TB, ds *metrics.Dataset, abnormal, normal *metrics.Region, p Params) *Evaluator {
+	t.Helper()
+	e, err := NewEvaluator(context.Background(), ds, abnormal, normal, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
 
 // TestEvaluatorColumnAddedAfterConstruction pins the slot bound: a
 // column the dataset gains after the evaluator was built has no slot,
-// so it yields no space and separates nothing, and preparing it by name
-// neither panics nor counts a build.
+// so it yields no space and separates nothing.
 func TestEvaluatorColumnAddedAfterConstruction(t *testing.T) {
 	ds, abnormal, normal := wideDataset(t, 200, 6, 120, 160, 17)
 	p := DefaultParams()
-	ev := NewEvaluator(ds, abnormal, normal, p)
+	ev := newEvaluator(t, ds, abnormal, normal, p)
 	if _, err := ev.Generate(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -37,19 +48,11 @@ func TestEvaluatorColumnAddedAfterConstruction(t *testing.T) {
 	// perfectly; the old one must not see them.
 	num := Predicate{Attr: "late", Type: metrics.Numeric, HasLower: true, Lower: 50}
 	cat := Predicate{Attr: "late_cat", Type: metrics.Categorical, Categories: []string{"burst"}}
-	fresh := NewEvaluator(ds, abnormal, normal, p)
+	fresh := newEvaluator(t, ds, abnormal, normal, p)
 	if fresh.Separation(num) != 1 || fresh.Separation(cat) != 1 {
 		t.Fatalf("fresh evaluator: separations %v / %v, want 1 / 1", fresh.Separation(num), fresh.Separation(cat))
 	}
 
-	tr := obs.NewTrace(1)
-	if err := ev.PrepareCtx(context.Background(), []string{"late", "late_cat", "late"}, 2, tr); err != nil {
-		t.Fatal(err)
-	}
-	snap := tr.Snapshot()
-	if built, reused := snap.Counters["spaces_built"], snap.Counters["spaces_reused"]; built != 0 || reused != 0 {
-		t.Errorf("preparing columns added after construction counted %d built / %d reused, want 0 / 0", built, reused)
-	}
 	if ps := ev.NumericSpaceFor("late"); ps != nil {
 		t.Errorf("NumericSpaceFor(late) = %+v, want nil", ps)
 	}
@@ -61,50 +64,83 @@ func TestEvaluatorColumnAddedAfterConstruction(t *testing.T) {
 	}
 }
 
-// TestEvaluatorSizeBytesCountsEveryStoredSpace: the size estimate grows
-// by at least the label bytes of each space stored, counts a space once
-// however many times it is asked for, and does not depend on whether
-// Generate or lazy building stored it.
-func TestEvaluatorSizeBytesCountsEveryStoredSpace(t *testing.T) {
-	ds, abnormal, normal := wideDataset(t, 200, 12, 120, 160, 19)
-	p := DefaultParams()
-	var attrs []string
-	for i := 0; i < ds.NumAttrs(); i++ {
-		attrs = append(attrs, ds.ColumnAt(i).Attr.Name)
+// referenceSlot builds column i's slot through the exported,
+// unprepared constructors: NewNumericSpace, then Filter unless
+// filtering is disabled, with refRegionMean's region means; or
+// NewCategoricalSpace.
+func referenceSlot(ds *metrics.Dataset, i int, abnormal, normal *metrics.Region, p Params) slot {
+	col := ds.ColumnAt(i)
+	if col.Attr.Type == metrics.Categorical {
+		return slot{cat: NewCategoricalSpace(col.Attr.Name, col.Cat, abnormal, normal)}
 	}
+	s := slot{num: NewNumericSpace(col.Attr.Name, col.Num, abnormal, normal, p.NumPartitions)}
+	if s.num == nil {
+		return s
+	}
+	if !p.DisableFiltering {
+		s.num.Filter()
+	}
+	for _, l := range s.num.Labels {
+		switch l {
+		case Abnormal:
+			s.nA++
+		case Normal:
+			s.nN++
+		}
+	}
+	s.muA, s.muN = refRegionMean(col.Num, abnormal), refRegionMean(col.Num, normal)
+	return s
+}
 
-	lazy := NewEvaluator(ds, abnormal, normal, p)
-	size := lazy.SizeBytes()
-	for i, attr := range attrs {
-		if err := lazy.PrepareCtx(context.Background(), []string{attr}, 1, nil); err != nil {
-			t.Fatal(err)
-		}
-		s := lazy.slots[i]
-		var labels int64
-		if s.num != nil {
-			labels = int64(len(s.num.Labels))
-		}
-		if s.cat != nil {
-			labels = int64(len(s.cat.Labels))
-		}
-		grown := lazy.SizeBytes()
-		if grown-size < labels || (labels > 0) != (grown > size) {
-			t.Errorf("storing %s (%d labels) grew SizeBytes by %d", attr, labels, grown-size)
-		}
-		size = grown
+// sameSlot compares two slots, region means bit for bit. Means are
+// read only beside a numeric space, so they count only there.
+func sameSlot(a, b slot) bool {
+	if !reflect.DeepEqual(a.num, b.num) || !reflect.DeepEqual(a.cat, b.cat) || a.nA != b.nA || a.nN != b.nN {
+		return false
 	}
-	if err := lazy.PrepareCtx(context.Background(), attrs, 2, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := lazy.SizeBytes(); got != size {
-		t.Errorf("re-preparing stored spaces changed SizeBytes %d -> %d", size, got)
-	}
+	return a.num == nil || (math.Float64bits(a.muA) == math.Float64bits(b.muA) &&
+		math.Float64bits(a.muN) == math.Float64bits(b.muN))
+}
 
-	generated := NewEvaluator(ds, abnormal, normal, p)
-	if _, err := generated.Generate(context.Background(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := generated.SizeBytes(); got != size {
-		t.Errorf("Generate-filled evaluator is %d bytes, lazily filled %d", got, size)
+// TestEvaluatorPrepareMatchesLazy pins the one build path: across the
+// table-driven parameter sets and worker counts, every slot the
+// evaluator prepares at construction equals the space the reference
+// constructors build for that column on its own, and Generate, which
+// gap-fills a scratch copy of each space, leaves every slot unchanged.
+func TestEvaluatorPrepareMatchesLazy(t *testing.T) {
+	ds, abnormal, normal := wideDataset(t, 200, 16, 120, 160, 13)
+	for _, tc := range generateParamCases {
+		for _, workers := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				p := DefaultParams()
+				p.Theta = 0.05
+				tc.mod(&p)
+				p.Workers = workers
+				ev := newEvaluator(t, ds, abnormal, normal, p)
+				want := make([]slot, ds.NumAttrs())
+				for i := range want {
+					want[i] = referenceSlot(ds, i, abnormal, normal, p)
+				}
+				check := func(when string) {
+					t.Helper()
+					for i, s := range ev.slots {
+						if !sameSlot(s, want[i]) {
+							t.Errorf("%s: column %d slot %+v %+v (nA=%d nN=%d muA=%v muN=%v), reference %+v %+v (nA=%d nN=%d muA=%v muN=%v)",
+								when, i, s.num, s.cat, s.nA, s.nN, s.muA, s.muN,
+								want[i].num, want[i].cat, want[i].nA, want[i].nN, want[i].muA, want[i].muN)
+						}
+					}
+				}
+				check("built")
+				preds, err := ev.Generate(context.Background(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(preds) == 0 {
+					t.Fatal("no predicates generated")
+				}
+				check("after Generate")
+			})
+		}
 	}
 }

@@ -34,11 +34,6 @@ type Params struct {
 	// (Table 6, Appendix D). Production use leaves them false.
 	DisableFiltering  bool
 	DisableGapFilling bool
-
-	// Trace, when non-nil, accumulates per-stage wall time and work
-	// counts for this diagnosis (see internal/obs). Nil — the default —
-	// disables tracing at zero allocation cost on the hot path.
-	Trace *obs.Trace
 }
 
 // DefaultParams returns the paper's defaults: R=250, theta=0.2, delta=10
@@ -74,7 +69,7 @@ func Generate(ds *metrics.Dataset, abnormal, normal *metrics.Region, p Params) (
 }
 
 // GenerateCtx is Generate with cooperative cancellation: the
-// per-attribute fan-out checks ctx between attributes and returns
+// per-attribute fan-outs check ctx between attributes and return
 // ctx.Err() promptly once it fires, discarding partial results. An
 // uncancelled call is byte-identical to Generate (a non-cancellable ctx
 // costs nothing on the hot path). It runs Algorithm 1 through a
@@ -82,60 +77,35 @@ func Generate(ds *metrics.Dataset, abnormal, normal *metrics.Region, p Params) (
 // models against the same context keep the evaluator instead (see
 // Evaluator.Generate).
 func GenerateCtx(ctx context.Context, ds *metrics.Dataset, abnormal, normal *metrics.Region, p Params) ([]Predicate, error) {
-	return NewEvaluator(ds, abnormal, normal, p).Generate(ctx, p.Trace)
-}
-
-// Generate runs Algorithm 1 over the evaluator's dataset and regions,
-// with GenerateCtx's output, cancellation and tracing (tr, nil-safe),
-// and stores every attribute's partition space as it goes, so scoring
-// and ranking against the evaluator afterwards build nothing. Each
-// numeric space is stored right after filtering: the evaluator takes
-// the labels Algorithm 1 built, and gap filling and extraction run on a
-// scratch copy of them. tr counts each stored space as spaces_built.
-func (e *Evaluator) Generate(ctx context.Context, tr *obs.Trace) ([]Predicate, error) {
-	ds, abnormal, normal := e.ds, e.abnormal, e.normal
-	if err := e.p.Validate(); err != nil {
+	e, err := NewEvaluator(ctx, ds, abnormal, normal, p, nil)
+	if err != nil {
 		return nil, err
 	}
-	if ds == nil || ds.Rows() == 0 {
-		return nil, errors.New("core: empty dataset")
-	}
-	if abnormal == nil || abnormal.Empty() {
-		return nil, errors.New("core: abnormal region is empty")
-	}
-	if normal == nil || normal.Empty() {
-		return nil, errors.New("core: normal region is empty")
-	}
-	if abnormal.Intersects(normal) {
-		return nil, errors.New("core: abnormal and normal regions overlap")
-	}
+	return e.Generate(ctx, nil)
+}
 
+// Generate finishes Algorithm 1 over the spaces NewEvaluator built —
+// gap filling (step 4) and the normalized-difference check and
+// predicate extraction (step 5) — with GenerateCtx's output,
+// cancellation and tracing (tr, nil-safe). The built spaces are shared,
+// so gap filling rewrites a scratch copy of each numeric space's labels
+// and the evaluator is left unchanged.
+func (e *Evaluator) Generate(ctx context.Context, tr *obs.Trace) ([]Predicate, error) {
 	type candidate struct {
 		pred Predicate
 		ok   bool
 	}
-	n := len(e.slots)
+	n, workers := len(e.slots), ResolveWorkers(e.p.Workers)
 	results := make([]candidate, n)
-	workers := ResolveWorkers(e.p.Workers)
-	// One scratch arena per worker slot: the per-attribute buffers
-	// (membership bitsets, label snapshots, category counters) are reused
-	// across all ~R attributes a slot processes instead of reallocated.
-	scratches := make([]*scratch, EffectiveWorkers(n, workers))
-	for i := range scratches {
-		scratches[i] = getScratch()
-	}
+	scratches := workerScratches(n, workers)
+	defer putScratches(scratches)
 	err := ForEachWorkerCtx(ctx, n, workers, func(w, i int) {
-		col := ds.ColumnAt(i)
-		switch col.Attr.Type {
-		case metrics.Numeric:
-			results[i].pred, results[i].ok = e.generateNumeric(i, col, scratches[w], tr)
-		case metrics.Categorical:
-			results[i].pred, results[i].ok = e.generateCategorical(i, col, scratches[w], tr)
+		if s := &e.slots[i]; s.num != nil {
+			results[i].pred, results[i].ok = e.extractNumeric(s, scratches[w], tr)
+		} else if s.cat != nil {
+			results[i].pred, results[i].ok = extractCategorical(s.cat, tr)
 		}
 	})
-	for _, sc := range scratches {
-		putScratch(sc)
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -150,19 +120,14 @@ func (e *Evaluator) Generate(ctx context.Context, tr *obs.Trace) ([]Predicate, e
 	return out, nil
 }
 
-func (e *Evaluator) generateNumeric(i int, col metrics.Column, sc *scratch, tr *obs.Trace) (Predicate, bool) {
-	ps, muA, muN := e.partitionNumeric(i, col, sc, tr)
-	e.store(i, numericSlot(ps), tr)
-	if ps == nil {
-		return Predicate{}, false
-	}
-	// The stored space is shared from here on, so gap filling rewrites a
-	// stack view over a scratch copy of its labels (DESIGN.md §10).
-	view := *ps
-	view.Labels = sc.labelCopy(ps.Labels)
+func (e *Evaluator) extractNumeric(s *slot, sc *scratch, tr *obs.Trace) (Predicate, bool) {
+	// The built space is shared, so gap filling rewrites a stack view
+	// over a scratch copy of its labels (DESIGN.md §10).
+	view := *s.num
+	view.Labels = sc.labelCopy(view.Labels)
 	if !e.p.DisableGapFilling {
 		start := tr.Start()
-		view.fillGaps(e.p.Delta, muN, sc)
+		view.fillGaps(e.p.Delta, s.muN, sc)
 		tr.EndStage(obs.StageGapFill, start)
 	}
 
@@ -173,7 +138,7 @@ func (e *Evaluator) generateNumeric(i int, col metrics.Column, sc *scratch, tr *
 	// row-length normalized copy of the column is ever materialized.
 	start := tr.Start()
 	defer tr.EndStage(obs.StageExtract, start)
-	if math.IsNaN(muA) || math.IsNaN(muN) || math.Abs((muA-muN)/(view.Max-view.Min)) <= e.p.Theta {
+	if math.IsNaN(s.muA) || math.IsNaN(s.muN) || math.Abs((s.muA-s.muN)/(view.Max-view.Min)) <= e.p.Theta {
 		return Predicate{}, false
 	}
 
@@ -181,7 +146,7 @@ func (e *Evaluator) generateNumeric(i int, col metrics.Column, sc *scratch, tr *
 	if !ok {
 		return Predicate{}, false
 	}
-	pred := Predicate{Attr: col.Attr.Name, Type: metrics.Numeric}
+	pred := Predicate{Attr: view.Attr, Type: metrics.Numeric}
 	if first > 0 {
 		lb, _ := view.Bounds(first)
 		pred.HasLower = true
@@ -199,22 +164,14 @@ func (e *Evaluator) generateNumeric(i int, col metrics.Column, sc *scratch, tr *
 	return pred, true
 }
 
-func (e *Evaluator) generateCategorical(i int, col metrics.Column, sc *scratch, tr *obs.Trace) (Predicate, bool) {
+func extractCategorical(cs *CategoricalSpace, tr *obs.Trace) (Predicate, bool) {
 	start := tr.Start()
-	cs := newCategoricalSpaceIDs(col.Attr.Name, col, e.aRuns, e.nRuns, sc)
-	tr.EndStage(obs.StagePartition, start)
-	e.store(i, slot{cat: cs, built: true}, tr)
-	if cs == nil {
-		return Predicate{}, false
-	}
-	tr.Count(obs.CounterPartitionsCreated, len(cs.Labels))
-	start = tr.Start()
 	defer tr.EndStage(obs.StageExtract, start)
 	values := cs.AbnormalValues()
 	if len(values) == 0 {
 		return Predicate{}, false
 	}
-	pred := Predicate{Attr: col.Attr.Name, Type: metrics.Categorical, Categories: values}
+	pred := Predicate{Attr: cs.Attr, Type: metrics.Categorical, Categories: values}
 	sortCategories(&pred)
 	return pred, true
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -78,12 +79,15 @@ func TestEvaluatorMatchesPartitionSeparation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ev := NewEvaluator(ds, abn, normal, p)
+		ev, err := NewEvaluator(context.Background(), ds, abn, normal, p, nil)
+		if err != nil {
+			return false
+		}
 		for _, pred := range preds {
 			if ev.Separation(pred) != PartitionSeparation(pred, ds, abn, normal, p) {
 				return false
 			}
-			// Second call hits the cache and must agree with itself.
+			// A second call reads the same space and must agree.
 			if ev.Separation(pred) != ev.Separation(pred) {
 				return false
 			}

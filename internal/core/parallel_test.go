@@ -174,9 +174,9 @@ func TestForEachCoversEachIndexOnce(t *testing.T) {
 }
 
 // TestEvaluatorConcurrentSeparation hammers one shared Evaluator from
-// many goroutines (cold cache, so lazy builds race with each other and
-// with a Generate storing every space) and checks every goroutine
-// observes the same separation values. Run with -race.
+// many goroutines, racing scoring against a Generate that gap-fills
+// from the same spaces, and checks every goroutine observes the same
+// separation values. Run with -race.
 func TestEvaluatorConcurrentSeparation(t *testing.T) {
 	ds, abnormal, normal := wideDataset(t, 200, 16, 120, 160, 11)
 	p := DefaultParams()
@@ -189,12 +189,12 @@ func TestEvaluatorConcurrentSeparation(t *testing.T) {
 		t.Fatal("no predicates to score")
 	}
 	want := make([]float64, len(preds))
-	ref := NewEvaluator(ds, abnormal, normal, p)
+	ref := newEvaluator(t, ds, abnormal, normal, p)
 	for i, pred := range preds {
 		want[i] = ref.Separation(pred)
 	}
 
-	shared := NewEvaluator(ds, abnormal, normal, p)
+	shared := newEvaluator(t, ds, abnormal, normal, p)
 	var wg sync.WaitGroup
 	errs := make(chan error, 17)
 	wg.Add(1)
@@ -224,56 +224,5 @@ func TestEvaluatorConcurrentSeparation(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-// TestEvaluatorPrepareMatchesLazy checks that the eager parallel Prepare
-// path and the spaces Generate stores yield the same spaces and
-// separations as pure lazy building, across the table-driven parameter
-// sets and worker counts.
-func TestEvaluatorPrepareMatchesLazy(t *testing.T) {
-	ds, abnormal, normal := wideDataset(t, 200, 16, 120, 160, 13)
-	for _, tc := range generateParamCases {
-		for _, workers := range []int{1, 2, 8} {
-			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				p := DefaultParams()
-				p.Theta = 0.05
-				tc.mod(&p)
-				p.Workers = workers
-				generated := NewEvaluator(ds, abnormal, normal, p)
-				preds, err := generated.Generate(context.Background(), nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(preds) == 0 {
-					t.Fatal("no predicates to score")
-				}
-				lazy := NewEvaluator(ds, abnormal, normal, p)
-				eager := NewEvaluator(ds, abnormal, normal, p)
-				attrs := []string{"no-such-attr"}
-				for _, pred := range preds {
-					attrs = append(attrs, pred.Attr, pred.Attr) // duplicates are fine
-				}
-				if err := eager.PrepareCtx(context.Background(), attrs, workers, nil); err != nil {
-					t.Fatal(err)
-				}
-				for _, pred := range preds {
-					want := lazy.Separation(pred)
-					if got := eager.Separation(pred); got != want {
-						t.Errorf("predicate %v: prepared separation %v, lazy %v", pred, got, want)
-					}
-					if got := generated.Separation(pred); got != want {
-						t.Errorf("predicate %v: generated separation %v, lazy %v", pred, got, want)
-					}
-				}
-				for i := 0; i < ds.NumAttrs(); i++ {
-					got, want := generated.slots[i], lazy.space(i, nil, nil)
-					if !got.built || !reflect.DeepEqual(got, want) {
-						t.Errorf("column %d: Generate stored %+v %+v (nA=%d nN=%d), lazy built %+v %+v (nA=%d nN=%d)",
-							i, got.num, got.cat, got.nA, got.nN, want.num, want.cat, want.nA, want.nN)
-					}
-				}
-			})
-		}
 	}
 }

@@ -158,7 +158,7 @@ func TestEvaluatorSeparationMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, reg := range goldenRegions(rows, rng) {
 		normal := reg.abnormal.Complement()
-		e := NewEvaluator(ds, reg.abnormal, normal, Params{NumPartitions: 97, Theta: 0.05, Delta: 10})
+		e := newEvaluator(t, ds, reg.abnormal, normal, Params{NumPartitions: 97, Theta: 0.05, Delta: 10})
 		for _, attr := range []string{"gauss_shift", "int_counter", "nan_holes", "constant", "pure_noise"} {
 			ps := e.NumericSpaceFor(attr)
 			var preds []Predicate

@@ -7,8 +7,8 @@ import "sync"
 // (~116 on the paper's testbed), and each build needs several short-lived
 // slices and maps (membership flags, label snapshots, nearest-neighbour
 // indices, category counters). Allocating them fresh per attribute is
-// pure GC pressure, so Evaluator.Generate and Evaluator.PrepareCtx hand
-// each worker slot one scratch for the whole fan-out, and the exported
+// pure GC pressure, so NewEvaluator and Evaluator.Generate hand each
+// worker slot one scratch for the whole fan-out, and the exported
 // constructors (NewNumericSpace, Filter, FillGaps, NewCategoricalSpace)
 // fall back to a sync.Pool so direct callers keep the same
 // zero-boilerplate API.
@@ -23,14 +23,14 @@ import "sync"
 //     itself, its Labels, a CategoricalSpace's Values — is allocated
 //     owned, never scratch-backed. Evaluator slots in particular must
 //     own their labels: they are shared across concurrent scoring
-//     goroutines and outlive every scratch. Algorithm 1 stores its
-//     filtered space in the evaluator and gap-fills a scratch copy
-//     (labelCopy) through a stack view that never escapes.
+//     goroutines and outlive every scratch. Generate gap-fills a
+//     scratch copy (labelCopy) of each built space through a stack view
+//     that never escapes.
 type scratch struct {
 	bitsA, bitsN []uint64 // NewNumericSpace: per-partition region membership bitsets
 	nonEmpty     []int    // Filter/FillGaps: indices of non-Empty partitions
 	nonEmptyL    []Label  // Filter: their labels, snapshot before rewriting
-	gapLabels    []Label  // Evaluator.Generate: copy of a stored space's labels to gap-fill
+	gapLabels    []Label  // Evaluator.Generate: copy of a built space's labels to gap-fill
 
 	countA map[string]int  // NewCategoricalSpace: abnormal tuples per value
 	countN map[string]int  // NewCategoricalSpace: normal tuples per value
@@ -53,6 +53,23 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 func getScratch() *scratch  { return scratchPool.Get().(*scratch) }
 func putScratch(s *scratch) { scratchPool.Put(s) }
+
+// workerScratches takes one arena per worker slot of a fan-out over n
+// items, so a slot reuses its buffers across every attribute it
+// processes. Return them with putScratches.
+func workerScratches(n, workers int) []*scratch {
+	out := make([]*scratch, EffectiveWorkers(n, workers))
+	for i := range out {
+		out[i] = getScratch()
+	}
+	return out
+}
+
+func putScratches(s []*scratch) {
+	for _, sc := range s {
+		putScratch(sc)
+	}
+}
 
 // bitPair returns two zeroed bitsets covering n partitions (one bit per
 // partition, 64 per word), reusing capacity. Bitsets replace the former
@@ -111,7 +128,7 @@ func (s *scratch) catState() (countA, countN map[string]int, seen map[string]boo
 // keepOrder stores the (possibly grown) order slice back into the arena.
 func (s *scratch) keepOrder(order []string) { s.order = order[:0] }
 
-// labelCopy copies a stored space's labels into reused capacity, for
+// labelCopy copies a built space's labels into reused capacity, for
 // Algorithm 1 to gap-fill and extract from without touching the
 // evaluator's copy.
 func (s *scratch) labelCopy(labels []Label) []Label {

@@ -135,12 +135,9 @@ func (c *Cache) Get(key Key) (Entry, bool) {
 	return el.Value.(*cacheEntry).entry, true
 }
 
-// Put inserts or refreshes the entry for key and marks it most
-// recently used. Re-putting an existing key re-reads SizeBytes, so
-// entries whose retained state grows lazily (evaluators build partition
-// spaces on demand) stay accurately accounted: callers should Put on
-// every request, hit or miss. Oversized entries that alone exceed the
-// byte budget are not retained.
+// Put inserts or replaces the entry for key, reading its SizeBytes,
+// and marks it most recently used. Oversized entries that alone exceed
+// the byte budget are not retained.
 func (c *Cache) Put(key Key, e Entry) {
 	if e == nil {
 		return

@@ -90,7 +90,7 @@ func fullTraining(b *Battery) map[anomaly.Kind][]int {
 
 // rankModelSet orders the model set's causes by confidence on the target.
 func rankModelSet(ms modelSet, target *Dataset, p core.Params) []anomaly.Kind {
-	ev := core.NewEvaluator(target.Data, target.Abnormal, target.Normal, p)
+	ev := evaluator(target, p)
 	conf := make(map[anomaly.Kind]float64, len(ms))
 	for kind, m := range ms {
 		conf[kind] = m.ConfidenceEval(ev)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -42,11 +43,22 @@ func (b *Battery) mergedModelSet(indices map[anomaly.Kind][]int, p core.Params) 
 	return out, nil
 }
 
+// evaluator builds the Equation 3 evaluator of a target's diagnosis
+// context. Every target's regions are non-empty and disjoint by
+// construction, so a failure here is a harness bug.
+func evaluator(target *Dataset, p core.Params) *core.Evaluator {
+	ev, err := core.NewEvaluator(context.Background(), target.Data, target.Abnormal, target.Normal, p, nil)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %s dataset %d: %v", target.Kind, target.Index, err))
+	}
+	return ev
+}
+
 // diagnose ranks the model set on a target and reports the correct
 // cause's rank (1-based), its confidence, and the margin over the best
 // incorrect cause.
 func diagnose(ms modelSet, target *Dataset, p core.Params) (rank int, confidence, margin float64) {
-	ev := core.NewEvaluator(target.Data, target.Abnormal, target.Normal, p)
+	ev := evaluator(target, p)
 	conf := make(map[anomaly.Kind]float64, len(ms))
 	for kind, m := range ms {
 		conf[kind] = m.ConfidenceEval(ev)

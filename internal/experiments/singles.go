@@ -48,7 +48,7 @@ func buildSingleModels(b *Battery, p core.Params, know *domain.Knowledge) (*sing
 // that class's single models on the target dataset, excluding any model
 // trained on the target itself.
 func (sm *singleModels) kindConfidences(target *Dataset, p core.Params) map[anomaly.Kind]float64 {
-	ev := core.NewEvaluator(target.Data, target.Abnormal, target.Normal, p)
+	ev := evaluator(target, p)
 	out := make(map[anomaly.Kind]float64, len(sm.models))
 	for kind, ms := range sm.models {
 		var sum float64
@@ -213,7 +213,7 @@ func singleModelAccuracy(b *Battery, sm *singleModels, p core.Params) (top1, top
 	kinds := b.Kinds()
 	for _, kind := range kinds {
 		for _, target := range b.ByKind[kind] {
-			ev := core.NewEvaluator(target.Data, target.Abnormal, target.Normal, p)
+			ev := evaluator(target, p)
 			for fold := 0; fold < DatasetsPerKind; fold++ {
 				conf := make(map[anomaly.Kind]float64, len(kinds))
 				for _, mk := range kinds {

@@ -27,9 +27,6 @@ const (
 	// StageScore is separation-power scoring of the kept predicates
 	// (Equation 1).
 	StageScore
-	// StagePrepare is the evaluator's partition-space warm-up before
-	// model ranking.
-	StagePrepare
 	// StageRank is causal-model confidence ranking (Equation 3).
 	StageRank
 
@@ -51,8 +48,6 @@ func (s Stage) String() string {
 		return "prune"
 	case StageScore:
 		return "score"
-	case StagePrepare:
-		return "rank_prepare"
 	case StageRank:
 		return "rank"
 	default:
@@ -78,14 +73,10 @@ const (
 	// CounterPredicatesPruned counts predicates removed as secondary
 	// symptoms.
 	CounterPredicatesPruned
-	// CounterSpacesBuilt counts partition spaces built and stored in an
-	// evaluator: every attribute's, by Algorithm 1 on a cold diagnosis,
-	// plus any a ranking pass probes that no one stored before.
+	// CounterSpacesBuilt counts partition spaces built by an evaluator's
+	// construction: one per attribute on a cold diagnosis, none on a
+	// diagnosis that reuses a captured state.
 	CounterSpacesBuilt
-	// CounterSpacesReused counts probes that found their partition space
-	// already stored in the evaluator: every ranking probe after
-	// Algorithm 1 or against a reused diagnosis state.
-	CounterSpacesReused
 	// CounterModelsRanked counts causal models scored for confidence.
 	CounterModelsRanked
 
@@ -107,8 +98,6 @@ func (c WorkCounter) String() string {
 		return "predicates_pruned"
 	case CounterSpacesBuilt:
 		return "spaces_built"
-	case CounterSpacesReused:
-		return "spaces_reused"
 	case CounterModelsRanked:
 		return "models_ranked"
 	default:

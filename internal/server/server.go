@@ -292,9 +292,9 @@ func WithIngest(cfg ingest.Config) Option {
 
 // New builds a server around the analyzer. It fails when the store
 // cannot hydrate — in particular when a model the analyzer was
-// pre-loaded with (the daemon's -models file) cannot be persisted:
-// serving a model that would vanish on restart is the one state a
-// successful response must never represent.
+// pre-loaded with (an embedder's LoadModels before New) cannot be
+// persisted: serving a model that would vanish on restart is the one
+// state a successful response must never represent.
 func New(analyzer *dbsherlock.Analyzer, opts ...Option) (*Server, error) {
 	s := &Server{
 		analyzer:      analyzer,
@@ -393,8 +393,8 @@ func MustNew(analyzer *dbsherlock.Analyzer, opts ...Option) *Server {
 }
 
 // hydrateBanks loads every tenant's persisted models into live banks
-// and persists any model the analyzer was pre-loaded with (e.g. the
-// daemon's -models file) that the store does not know yet. On a cause
+// and persists any model the analyzer was pre-loaded with (e.g. by an
+// embedder's LoadModels) that the store does not know yet. On a cause
 // known to both, the store wins: it is the durable record. A persist
 // failure is fatal — continuing would serve models that are not
 // durable and silently vanish on restart.
@@ -830,10 +830,9 @@ func (s *Server) explainOne(ctx context.Context, tenant string, req explainReque
 	}
 	// rules:true diagnoses through the rules analyzer, whose domain
 	// knowledge differs from the shared one, so it bypasses the cache;
-	// everything else looks up (and refreshes) the incident's cached
-	// diagnosis state. A Put on every request — hit or miss — keeps the
-	// byte accounting current as the shared evaluator's partition-space
-	// cache grows lazily.
+	// everything else looks up the incident's cached diagnosis state.
+	// A captured state never changes, so only a state Diagnose newly
+	// captured (a miss, or a reuse it rejected) is Put.
 	useCache := s.diagCache != nil && !req.Rules
 	var reuse *dbsherlock.DiagnosisState
 	var key diagcache.Key
@@ -852,7 +851,7 @@ func (s *Server) explainOne(ctx context.Context, tenant string, req explainReque
 		return nil, computeAPIError(err)
 	}
 	s.diagLat.observe(time.Since(start))
-	if useCache && res.State != nil {
+	if useCache && res.State != nil && res.State != reuse {
 		s.diagCache.Put(key, res.State)
 	}
 	expl := res.Explanation

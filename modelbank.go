@@ -16,7 +16,7 @@ func NewModelBank() *ModelBank { return causal.NewRepository() }
 func (a *Analyzer) ModelBank() *ModelBank { return a.repository() }
 
 // WithModelBank returns an analyzer that shares this one's parameters,
-// domain knowledge, lambda, and detector settings but ranks and learns
+// domain knowledge, lambda, and tracing setting but ranks and learns
 // against bank. The configuration is copied, not aliased: the derived
 // analyzer is an independent view, and LoadModels on one does not
 // affect the other. A nil bank returns the receiver.
@@ -28,7 +28,6 @@ func (a *Analyzer) WithModelBank(bank *ModelBank) *Analyzer {
 		params:    a.params,
 		knowledge: a.knowledge,
 		lambda:    a.lambda,
-		detectP:   a.detectP,
 		tracing:   a.tracing,
 		repo:      bank,
 	}
