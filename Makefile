@@ -101,14 +101,15 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./...
 
 # Short fuzz campaigns over the CSV parser, the model-merge rule, the
-# region iterator round-trip, the DBSCAN grid and clustering pass, the
-# store's on-disk decoders, and the Prometheus exposition writer.
+# region iterator round-trip, DBSCAN through computed rows and the
+# clustering pass, the store's on-disk decoders, the Prometheus
+# exposition writer and the batch-request decoder.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=10s ./internal/collector/
 	$(GO) test -run='^$$' -fuzz=FuzzMergePredicates -fuzztime=10s ./internal/causal/
 	$(GO) test -run='^$$' -fuzz=FuzzMergeCategorical -fuzztime=10s ./internal/causal/
 	$(GO) test -run='^$$' -fuzz=FuzzRegionRoundTrip -fuzztime=10s ./internal/metrics/
-	$(GO) test -run='^$$' -fuzz=FuzzGridClusterEquivalence -fuzztime=10s ./internal/dbscan/
+	$(GO) test -run='^$$' -fuzz=FuzzClusterEquivalence -fuzztime=10s ./internal/dbscan/
 	$(GO) test -run='^$$' -fuzz=FuzzKDistClusterEquivalence -fuzztime=10s ./internal/dbscan/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/store/
@@ -139,14 +140,15 @@ bench-alloc:
 	$(GO) test -bench BenchmarkSlidingWindowMedians -benchtime=100x -count=5 -benchmem -run='^$$' ./internal/stats/
 
 # Regenerate the numbers behind BENCH_detect.json (per-tick monitoring
-# cost, snapshot+batch Detect vs the streaming path; one clustering pass
-# through the distance matrix vs the grid and computed rows at the
-# window size, d = 2..32, and above the matrix cap; and the DBSCAN
-# grid-index stress shapes; commit the medians across the 5
-# repetitions). The O(n^2) reference at n=20000 takes ~40 s per
-# iteration and only runs with DBSHERLOCK_BENCH_FULL=1.
+# cost, snapshot+batch Detect vs the streaming path, and batch Detect on
+# a 2,400-row trace, above the matrix cap; one clustering pass through
+# the distance matrix vs computed rows at the window size, d = 2..32,
+# and above the matrix cap at d = 3 and 6; and the computed-rows stress
+# shapes; commit the medians across the 5 repetitions). The O(n^2)
+# reference at n=20000 takes ~40 s per iteration and only runs with
+# DBSHERLOCK_BENCH_FULL=1.
 bench-detect:
-	$(GO) test -bench BenchmarkDetectTick -benchtime=50x -count=5 -benchmem -run='^$$' ./internal/detect/
+	$(GO) test -bench 'BenchmarkDetect(Tick|LongTrace)' -benchtime=50x -count=5 -benchmem -run='^$$' ./internal/detect/
 	$(GO) test -bench 'BenchmarkCluster(Naive|Indexed)|BenchmarkKDistCluster' -benchtime=100x -count=5 -benchmem -run='^$$' ./internal/dbscan/
 	DBSHERLOCK_BENCH_FULL=$(DBSHERLOCK_BENCH_FULL) $(GO) test -bench BenchmarkPipelineStress -benchtime=3x -count=5 -benchmem -timeout=90m -run='^$$' ./internal/dbscan/
 

@@ -27,18 +27,6 @@ func TestSummarizeRuns(t *testing.T) {
 	}
 }
 
-func TestDetectorByName(t *testing.T) {
-	for _, name := range []string{"dbscan", "threshold", "perfaugur"} {
-		d, err := detectorByName(name)
-		if err != nil || d == nil {
-			t.Errorf("detectorByName(%q) = %v, %v", name, d, err)
-		}
-	}
-	if _, err := detectorByName("nope"); err == nil {
-		t.Error("unknown detector: want error")
-	}
-}
-
 // TestLearnDiagnoseRoundTrip drives the two stateful subcommands
 // end-to-end through temp files.
 func TestLearnDiagnoseRoundTrip(t *testing.T) {

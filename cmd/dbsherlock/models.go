@@ -185,7 +185,7 @@ func runDiagnose(ctx context.Context, args []string) error {
 	var abnormal *dbsherlock.Region
 	switch {
 	case *auto:
-		d, err := detectorByName(*detector)
+		d, err := dbsherlock.DetectorByName(*detector)
 		if err != nil {
 			return err
 		}
@@ -236,17 +236,4 @@ func runDiagnose(ctx context.Context, args []string) error {
 		}
 	}
 	return nil
-}
-
-func detectorByName(name string) (dbsherlock.Detector, error) {
-	switch name {
-	case "dbscan":
-		return dbsherlock.NewDBSCANDetector(), nil
-	case "threshold":
-		return dbsherlock.NewThresholdDetector(dbsherlock.AvgLatencyAttr, 3), nil
-	case "perfaugur":
-		return dbsherlock.NewPerfAugurDetector(dbsherlock.AvgLatencyAttr), nil
-	default:
-		return nil, fmt.Errorf("unknown detector %q (want dbscan, threshold, or perfaugur)", name)
-	}
 }

@@ -131,11 +131,12 @@ func WithLambda(lambda float64) Option {
 }
 
 // WithWorkers bounds the worker pool the diagnosis engine fans
-// per-attribute work (partition-space construction, Algorithm 1) and
-// per-model work (confidence ranking) out across. n <= 0 — the default —
-// sizes the pool to runtime.GOMAXPROCS; 1 forces the sequential path.
-// Worker count never changes results: parallel runs are byte-identical
-// to sequential ones.
+// per-attribute partition-space construction, separation-power scoring
+// and per-model work (confidence ranking) out across; Algorithm 1's gap
+// filling and extraction run on the calling goroutine. n <= 0 — the
+// default — sizes the pool to runtime.GOMAXPROCS; 1 forces the
+// sequential path. Worker count never changes results: parallel runs
+// are byte-identical to sequential ones.
 func WithWorkers(n int) Option {
 	return func(a *Analyzer) error {
 		a.params.Workers = n
@@ -386,17 +387,9 @@ func (a *Analyzer) explainCtx(ctx context.Context, ds *Dataset, abnormal, normal
 	}
 	start := tr.Start()
 	expl.Ranked = make([]ScoredPredicate, len(expl.Predicates))
-	// Encode the regions' runs once for the whole scoring loop: every
-	// candidate is scored against the same two regions, so per-predicate
-	// membership re-scans are pure waste (see Region.RunList).
-	aRuns, nRuns := abnormal.RunList(), normal.RunList()
-	cntA, cntN := abnormal.Count(), normal.Count()
 	if err := core.ForEachCtx(ctx, len(expl.Predicates), core.ResolveWorkers(a.params.Workers), func(i int) {
 		p := expl.Predicates[i]
-		expl.Ranked[i] = ScoredPredicate{
-			Predicate:       p,
-			SeparationPower: core.SeparationPowerRuns(p, ds, aRuns, nRuns, cntA, cntN),
-		}
+		expl.Ranked[i] = ScoredPredicate{Predicate: p, SeparationPower: ev.SeparationPower(p)}
 	}); err != nil {
 		return nil, nil, err
 	}

@@ -97,6 +97,22 @@ func NewPerfAugurDetector(indicator string) Detector {
 	return detect.NewPerfAugurDetector(indicator)
 }
 
+// DetectorByName returns the built-in detector with the given name:
+// "dbscan" (also the empty name), or "threshold" or "perfaugur" over
+// AvgLatencyAttr, the threshold detector at z = 3.
+func DetectorByName(name string) (Detector, error) {
+	switch name {
+	case "", "dbscan":
+		return NewDBSCANDetector(), nil
+	case "threshold":
+		return NewThresholdDetector(AvgLatencyAttr, 3), nil
+	case "perfaugur":
+		return NewPerfAugurDetector(AvgLatencyAttr), nil
+	default:
+		return nil, fmt.Errorf("dbsherlock: unknown detector %q (want dbscan, threshold, or perfaugur)", name)
+	}
+}
+
 // DetectUsing finds the abnormal region with a caller-chosen detector.
 // ok is false when the detector finds nothing actionable.
 func (a *Analyzer) DetectUsing(ds *Dataset, d Detector) (region *Region, ok bool, err error) {

@@ -145,3 +145,20 @@ func TestDetectUsingPluggableDetectors(t *testing.T) {
 		t.Error("nil detector: want error")
 	}
 }
+
+func TestDetectorByName(t *testing.T) {
+	for name, want := range map[string]string{
+		"":          "dbscan",
+		"dbscan":    "dbscan",
+		"threshold": "threshold(" + dbsherlock.AvgLatencyAttr + ")",
+		"perfaugur": "perfaugur",
+	} {
+		d, err := dbsherlock.DetectorByName(name)
+		if err != nil || d == nil || d.Name() != want {
+			t.Errorf("DetectorByName(%q) = %v, %v; want %s", name, d, err, want)
+		}
+	}
+	if _, err := dbsherlock.DetectorByName("nope"); err == nil {
+		t.Error("unknown detector: want error")
+	}
+}

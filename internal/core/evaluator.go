@@ -24,11 +24,13 @@ import (
 // the dataset state it was built over: a column added afterwards falls
 // outside the slots and yields no space.
 type Evaluator struct {
-	ds       *metrics.Dataset
-	abnormal *metrics.Region
-	normal   *metrics.Region
-	p        Params
-	slots    []slot // by column index, one per column at construction
+	ds           *metrics.Dataset
+	abnormal     *metrics.Region
+	normal       *metrics.Region
+	aRuns, nRuns []int32 // the regions' run lists (Region.RunList)
+	cntA, cntN   int     // the regions' row counts
+	p            Params
+	slots        []slot // by column index, one per column at construction
 }
 
 // slot is one column's space: num for a numeric column, cat for a
@@ -65,9 +67,10 @@ func NewEvaluator(ctx context.Context, ds *metrics.Dataset, abnormal, normal *me
 	if abnormal.Intersects(normal) {
 		return nil, errors.New("core: abnormal and normal regions overlap")
 	}
-	e := &Evaluator{ds: ds, abnormal: abnormal, normal: normal, p: p, slots: make([]slot, ds.NumAttrs())}
+	e := &Evaluator{ds: ds, abnormal: abnormal, normal: normal,
+		aRuns: abnormal.RunList(), nRuns: normal.RunList(), cntA: abnormal.Count(), cntN: normal.Count(),
+		p: p, slots: make([]slot, ds.NumAttrs())}
 	prep := PreparedFor(ds, p.NumPartitions)
-	aRuns, nRuns := abnormal.RunList(), normal.RunList()
 	n, workers := len(e.slots), ResolveWorkers(p.Workers)
 	scratches := workerScratches(n, workers)
 	defer putScratches(scratches)
@@ -75,14 +78,14 @@ func NewEvaluator(ctx context.Context, ds *metrics.Dataset, abnormal, normal *me
 		col, s, sc := ds.ColumnAt(i), &e.slots[i], scratches[w]
 		start := tr.Start()
 		if col.Attr.Type == metrics.Categorical {
-			s.cat = newCategoricalSpaceIDs(col.Attr.Name, col, aRuns, nRuns, sc)
+			s.cat = newCategoricalSpaceIDs(col.Attr.Name, col, e.aRuns, e.nRuns, sc)
 			tr.EndStage(obs.StagePartition, start)
 			if s.cat != nil {
 				tr.Count(obs.CounterPartitionsCreated, len(s.cat.Labels))
 			}
 			return
 		}
-		ps, sumA, sumN, cntA, cntN := newNumericSpacePrepared(col.Attr.Name, col.Num, prep.column(i), aRuns, nRuns, p.NumPartitions, sc)
+		ps, sumA, sumN, cntA, cntN := newNumericSpacePrepared(col.Attr.Name, col.Num, prep.column(i), e.aRuns, e.nRuns, p.NumPartitions, sc)
 		s.num, s.muA, s.muN = ps, meanOf(sumA, cntA), meanOf(sumN, cntN)
 		tr.EndStage(obs.StagePartition, start)
 		if ps == nil {
@@ -126,8 +129,9 @@ func (e *Evaluator) Regions() (abnormal, normal *metrics.Region) {
 }
 
 // SizeBytes estimates the retained heap footprint of the evaluator: its
-// slots, the partition spaces and the region pins — the memory a cache
-// holding this evaluator keeps alive beyond the dataset itself.
+// slots, the partition spaces, the region pins and their run lists —
+// the memory a cache holding this evaluator keeps alive beyond the
+// dataset itself.
 // Attribute names and category values are the dataset's strings, so
 // only their headers count.
 func (e *Evaluator) SizeBytes() int64 {
@@ -139,9 +143,11 @@ func (e *Evaluator) SizeBytes() int64 {
 		stringBytes    = int64(unsafe.Sizeof(""))
 		labelBytes     = int64(unsafe.Sizeof(Label(0)))
 		regionBytes    = int64(unsafe.Sizeof(metrics.Region{}))
+		runBytes       = int64(unsafe.Sizeof(int32(0)))
 	)
 	n := evaluatorBytes + slotBytes*int64(len(e.slots)) +
-		2*regionBytes + int64(e.abnormal.Len()+e.normal.Len())
+		2*regionBytes + int64(e.abnormal.Len()+e.normal.Len()) +
+		runBytes*int64(cap(e.aRuns)+cap(e.nRuns))
 	for _, s := range e.slots {
 		if s.num != nil {
 			n += numSpaceBytes + labelBytes*int64(cap(s.num.Labels))

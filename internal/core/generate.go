@@ -23,9 +23,10 @@ type Params struct {
 	Delta float64
 
 	// Workers bounds the worker pool used for per-attribute partition
-	// space construction and per-model ranking. Zero (the default) and
-	// negative values size the pool to runtime.GOMAXPROCS; 1 forces the
-	// sequential path. Parallel and sequential runs produce
+	// space construction (NewEvaluator) and per-model ranking; gap
+	// filling and extraction run on the calling goroutine. Zero (the
+	// default) and negative values size the pool to runtime.GOMAXPROCS;
+	// 1 forces the sequential path. Parallel and sequential runs produce
 	// byte-identical results: attributes are processed independently and
 	// collected by index.
 	Workers int
@@ -59,17 +60,16 @@ func (p Params) Validate() error {
 
 // Generate runs Algorithm 1 over every attribute of the dataset and
 // returns the conjunct of candidate predicates with high separation
-// power, in dataset column order. Attributes are independent, so the
-// per-attribute work (partition-space construction, filtering,
-// gap-filling, predicate extraction) fans out across a bounded worker
-// pool sized by p.Workers; results are collected by attribute index, so
-// the output is byte-identical to a sequential run.
+// power, in dataset column order. Attributes are independent, so
+// partition-space construction and filtering fan out across a bounded
+// worker pool sized by p.Workers; spaces are collected by attribute
+// index, so the output is byte-identical to a sequential run.
 func Generate(ds *metrics.Dataset, abnormal, normal *metrics.Region, p Params) ([]Predicate, error) {
 	return GenerateCtx(context.Background(), ds, abnormal, normal, p)
 }
 
 // GenerateCtx is Generate with cooperative cancellation: the
-// per-attribute fan-outs check ctx between attributes and return
+// per-attribute passes check ctx between attributes and return
 // ctx.Err() promptly once it fires, discarding partial results. An
 // uncancelled call is byte-identical to Generate (a non-cancellable ctx
 // costs nothing on the hot path). It runs Algorithm 1 through a
@@ -89,33 +89,32 @@ func GenerateCtx(ctx context.Context, ds *metrics.Dataset, abnormal, normal *met
 // predicate extraction (step 5) — with GenerateCtx's output,
 // cancellation and tracing (tr, nil-safe). The built spaces are shared,
 // so gap filling rewrites a scratch copy of each numeric space's labels
-// and the evaluator is left unchanged.
+// and the evaluator is left unchanged. It runs on the calling
+// goroutine, checking ctx between attributes: the work per attribute is
+// too small to pay for a second fan-out after construction's.
 func (e *Evaluator) Generate(ctx context.Context, tr *obs.Trace) ([]Predicate, error) {
-	type candidate struct {
-		pred Predicate
-		ok   bool
-	}
-	n, workers := len(e.slots), ResolveWorkers(e.p.Workers)
-	results := make([]candidate, n)
-	scratches := workerScratches(n, workers)
-	defer putScratches(scratches)
-	err := ForEachWorkerCtx(ctx, n, workers, func(w, i int) {
-		if s := &e.slots[i]; s.num != nil {
-			results[i].pred, results[i].ok = e.extractNumeric(s, scratches[w], tr)
-		} else if s.cat != nil {
-			results[i].pred, results[i].ok = extractCategorical(s.cat, tr)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
+	sc := getScratch()
+	defer putScratch(sc)
+	done := ctx.Done()
 	var out []Predicate
-	for _, c := range results {
-		if c.ok {
-			out = append(out, c.pred)
+	for i := range e.slots {
+		select {
+		case <-done:
+			return nil, ctx.Err()
+		default:
+		}
+		var pred Predicate
+		var ok bool
+		if s := &e.slots[i]; s.num != nil {
+			pred, ok = e.extractNumeric(s, sc, tr)
+		} else if s.cat != nil {
+			pred, ok = extractCategorical(s.cat, tr)
+		}
+		if ok {
+			out = append(out, pred)
 		}
 	}
-	tr.Count(obs.CounterAttributes, n)
+	tr.Count(obs.CounterAttributes, len(e.slots))
 	tr.Count(obs.CounterPredicatesKept, len(out))
 	return out, nil
 }

@@ -128,17 +128,13 @@ func SeparationPower(p Predicate, ds *metrics.Dataset, abnormal, normal *metrics
 	return float64(inA)/float64(abnormal.Count()) - float64(inN)/float64(normal.Count())
 }
 
-// SeparationPowerRuns is SeparationPower over pre-encoded region runs
-// (see Region.RunList) with the regions' row counts passed in: the same
-// per-row matching in the same visit order, without re-scanning region
-// membership for every predicate. The diagnosis ranking loop scores
-// every candidate against the same two regions, so the encoding is
-// built once per request and shared.
-func SeparationPowerRuns(p Predicate, ds *metrics.Dataset, aRuns, nRuns []int32, countA, countN int) float64 {
-	if countA == 0 || countN == 0 {
-		return 0
-	}
-	col, ok := ds.Column(p.Attr)
+// SeparationPower is the package-level SeparationPower against the
+// evaluator's dataset and regions: the same per-row matching in the
+// same visit order, over the run lists and row counts NewEvaluator
+// kept, so scoring every candidate of a diagnosis re-scans no region
+// membership.
+func (e *Evaluator) SeparationPower(p Predicate) float64 {
+	col, ok := e.ds.Column(p.Attr)
 	if !ok || col.Attr.Type != p.Type {
 		return 0
 	}
@@ -173,8 +169,8 @@ func SeparationPowerRuns(p Predicate, ds *metrics.Dataset, aRuns, nRuns []int32,
 		}
 		return hits
 	}
-	inA, inN := count(aRuns), count(nRuns)
-	return float64(inA)/float64(countA) - float64(inN)/float64(countN)
+	inA, inN := count(e.aRuns), count(e.nRuns)
+	return float64(inA)/float64(e.cntA) - float64(inN)/float64(e.cntN)
 }
 
 // MatchesAll reports whether row i satisfies every predicate in the

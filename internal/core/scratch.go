@@ -7,8 +7,9 @@ import "sync"
 // (~116 on the paper's testbed), and each build needs several short-lived
 // slices and maps (membership flags, label snapshots, nearest-neighbour
 // indices, category counters). Allocating them fresh per attribute is
-// pure GC pressure, so NewEvaluator and Evaluator.Generate hand each
-// worker slot one scratch for the whole fan-out, and the exported
+// pure GC pressure, so NewEvaluator hands each worker slot one scratch
+// for the whole fan-out, Evaluator.Generate takes one for its pass over
+// the attributes, and the exported
 // constructors (NewNumericSpace, Filter, FillGaps, NewCategoricalSpace)
 // fall back to a sync.Pool so direct callers keep the same
 // zero-boilerplate API.

@@ -7,11 +7,12 @@ import (
 	"testing"
 )
 
-// Stress benchmarks for the grid index at monitoring-window scale and
-// beyond. The naive O(n^2) pipeline at n=20000 runs for tens of
-// seconds per iteration, so it only runs when DBSHERLOCK_BENCH_FULL is
-// set (the Makefile's bench-detect target documents this); the indexed
-// pipeline is fast enough to run unconditionally.
+// Stress benchmarks for the computed-rows path, the one a pass takes
+// above matrixCap points. The naive O(n^2) pipeline at n=20000 runs for
+// tens of seconds per iteration, so it only runs when
+// DBSHERLOCK_BENCH_FULL is set (the Makefile's bench-detect target
+// documents this); the indexed pipeline, which computes rows without
+// allocating or sorting them, runs unconditionally.
 func benchPipelineNaive(b *testing.B, n int) {
 	pts := genPoints(rand.New(rand.NewSource(int64(n))), n, 3)
 	b.ReportAllocs()

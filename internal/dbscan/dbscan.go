@@ -34,8 +34,7 @@ func Distance(a, b Point) float64 {
 
 // matrixCap is the largest point count for which a pass keeps the full
 // n×n distance matrix: 1024² float64s are 8 MiB, a 600-row detection
-// window 2.9 MB. Above it the pass reads distances through the grid or
-// computes them a row at a time.
+// window 2.9 MB. Above it the pass computes each row when it reads it.
 const matrixCap = 1024
 
 // KDistCluster runs one clustering pass of the Section 7 detector over
@@ -52,10 +51,12 @@ const matrixCap = 1024
 //
 // Up to matrixCap points, whatever the dimensionality, both stages read
 // one pooled n×n matrix in which each pairwise distance is computed
-// once. Above it each stage uses the uniform-grid index when it applies
-// and computes rows on demand otherwise. The output is byte-identical
-// to the naive O(n²) k-dist and DBSCAN on every path, which golden and
-// fuzz tests pin.
+// once. Above it each stage computes the rows it reads, one at a time.
+// No spatial index is kept: on a trace with an anomaly the far rows
+// inflate max(Lk) and with it eps, so most rows fall within eps of each
+// other and an index cannot prune. The output is byte-identical to the
+// naive O(n²) k-dist and DBSCAN on both paths, which golden and fuzz
+// tests pin.
 func KDistCluster(lk []float64, labels []int, points []Point, minPts int,
 	epsFrom func(lk []float64) (eps float64, ok bool)) (_ []float64, _ []int, clustered bool) {
 	sc := getScratch(points)
@@ -210,6 +211,20 @@ func (sc *scratch) kth(i, k int) float64 {
 	return best[len(best)-1]
 }
 
+// insertBest inserts d into the ascending k-smallest buffer.
+func insertBest(best []float64, d float64, k int) []float64 {
+	if len(best) == k && d >= best[k-1] {
+		return best
+	}
+	i := sort.SearchFloat64s(best, d)
+	if len(best) < k {
+		best = append(best, 0)
+	}
+	copy(best[i+1:], best[i:])
+	best[i] = d
+	return best
+}
+
 // kthSorted is kth by sorting the whole row, NaN entries included.
 func (sc *scratch) kthSorted(row []float64, i, k int) float64 {
 	dists := sc.dists[:0]
@@ -223,9 +238,8 @@ func (sc *scratch) kthSorted(row []float64, i, k int) float64 {
 	return dists[min(k, len(dists))-1]
 }
 
-// kdist fills dst (grown as needed) with the sorted k-dist list: from
-// the matrix when the pass has one, otherwise through the grid index
-// when it applies and row by row when it does not.
+// kdist fills dst (grown as needed) with the sorted k-dist list, one
+// row of the matrix or one computed row per point.
 func (sc *scratch) kdist(dst []float64, k int) []float64 {
 	points := sc.points
 	if len(points) == 0 || k <= 0 {
@@ -235,23 +249,6 @@ func (sc *scratch) kdist(dst []float64, k int) []float64 {
 		dst = make([]float64, len(points))
 	}
 	dst = dst[:len(points)]
-	if sc.mat == nil && gridUsable(len(points), len(points[0])) {
-		if cell, ok := kdCell(points, k); ok {
-			g := getGrid()
-			defer putGrid(g)
-			if g.build(points, cell) {
-				for i := range points {
-					dst[i] = g.kdist(sc, i, k)
-				}
-				sort.Float64s(dst)
-				return dst
-			}
-		} else if allIdentical(points) {
-			// Every pairwise distance is zero, so every k-dist is zero.
-			clear(dst)
-			return dst
-		}
-	}
 	for i := range points {
 		dst[i] = sc.kth(i, k)
 	}
@@ -260,10 +257,9 @@ func (sc *scratch) kdist(dst []float64, k int) []float64 {
 }
 
 // cluster runs DBSCAN into dst (grown as needed). Neighbour lists come
-// from matrix rows when the pass has a matrix, otherwise from the grid
-// with cell size eps when it applies and from computed rows when it
-// does not. Every source lists neighbours in ascending index order, as
-// the naive scan does, so cluster expansion and labels are identical.
+// from matrix rows or computed rows, both in ascending index order as
+// the naive scan lists them, so cluster expansion and labels are
+// identical.
 func (sc *scratch) cluster(dst []int, eps float64, minPts int) []int {
 	const unvisited = -2
 	points := sc.points
@@ -274,25 +270,9 @@ func (sc *scratch) cluster(dst []int, eps float64, minPts int) []int {
 	for i := range labels {
 		labels[i] = unvisited
 	}
-	if len(points) == 0 {
-		return labels
-	}
-
-	var g *grid
-	if sc.mat == nil && gridUsable(len(points), len(points[0])) {
-		cg := getGrid()
-		if cg.build(points, eps) {
-			cg.buildOffsets()
-			g = cg
-		}
-		defer putGrid(cg)
-	}
 	// neighbours appends the indices within eps of point i (including i)
-	// in ascending order, identically on every path.
+	// in ascending order, as the naive scan lists them.
 	neighbours := func(i int, out []int32) []int32 {
-		if g != nil {
-			return g.neighbours(points, i, eps, out)
-		}
 		for j, d := range sc.rowOf(i) {
 			if d <= eps {
 				out = append(out, int32(j))

@@ -6,17 +6,17 @@ import (
 	"testing"
 )
 
-// FuzzGridClusterEquivalence feeds arbitrary point sets, eps, and
-// minPts to both the grid-indexed and naive DBSCAN paths and requires
-// identical labels up to cluster-id renumbering (in practice the ids
-// match exactly too, but the canonical form keeps the invariant
-// honest) plus identical k-dist lists. Wired into make fuzz-smoke.
-func FuzzGridClusterEquivalence(f *testing.F) {
+// FuzzClusterEquivalence feeds arbitrary point sets, eps, and minPts to
+// both the computed-rows and naive DBSCAN paths and requires identical
+// labels up to cluster-id renumbering (in practice the ids match
+// exactly too, but the canonical form keeps the invariant honest) plus
+// identical k-dist lists. Wired into make fuzz-smoke.
+func FuzzClusterEquivalence(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(2), 0.5, uint8(3))
 	f.Add([]byte{0, 0, 0, 0, 10, 10, 10, 10, 20, 20}, uint8(1), 1.0, uint8(2))
 	f.Add([]byte{255, 0, 128, 64, 32, 16, 8, 4, 2, 1, 9, 9}, uint8(3), 2.0, uint8(4))
 	f.Fuzz(func(t *testing.T, raw []byte, dim uint8, eps float64, minPts uint8) {
-		d := 1 + int(dim%9) // 1..9, crossing the maxGridDim cutoff
+		d := 1 + int(dim%9)
 		if len(raw) < d {
 			return
 		}

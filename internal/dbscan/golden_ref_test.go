@@ -9,20 +9,18 @@ import (
 	"testing"
 )
 
-// This file carries the golden contract of the clustering pass: every
-// path must be byte-identical to the naive O(n²) implementations.
+// This file carries the golden contract of the clustering pass: both
+// paths must be byte-identical to the naive O(n²) implementations.
 // refCluster below is a verbatim copy of the pre-grid Cluster and KDist
 // is the naive k-dist list, both reference code. Cluster/ClusterInto
-// and KDistIndexed/KDistInto run the pass's stages without the distance
-// matrix, the paths a pass takes above matrixCap points: the grid where
-// it applies and computed rows elsewhere. The tests drive them over
-// randomized and adversarial point sets on both sides of every fallback
-// boundary (dimensionality cutoff, small-n cutoff, non-finite
-// coordinates, degenerate eps) and require exact equality;
-// kdistcluster_test.go does the same for KDistCluster itself.
+// and KDistIndexed/KDistInto run the pass's stages through computed
+// rows, never the distance matrix: the path a pass takes above
+// matrixCap points. The tests drive them over randomized and
+// adversarial point sets (non-finite coordinates, degenerate eps,
+// duplicate points) and require exact equality; kdistcluster_test.go
+// does the same for KDistCluster itself.
 
-// Cluster runs DBSCAN through the grid or computed rows, never the
-// distance matrix.
+// Cluster runs DBSCAN through computed rows, never the distance matrix.
 func Cluster(points []Point, eps float64, minPts int) []int {
 	return ClusterInto(nil, points, eps, minPts)
 }
@@ -34,8 +32,8 @@ func ClusterInto(dst []int, points []Point, eps float64, minPts int) []int {
 	return sc.cluster(dst, eps, minPts)
 }
 
-// KDistIndexed is the k-dist list through the grid or computed rows,
-// never the distance matrix.
+// KDistIndexed is the k-dist list through computed rows, never the
+// distance matrix.
 func KDistIndexed(points []Point, k int) []float64 {
 	return KDistInto(nil, points, k)
 }
@@ -133,7 +131,7 @@ func refCluster(points []Point, eps float64, minPts int) []int {
 // genPoints builds a randomized point set: a handful of Gaussian blobs
 // plus uniform background noise and a few exact duplicates, in d
 // dimensions. Values are rounded to a coarse lattice now and then so
-// points land exactly on cell boundaries.
+// many distances tie exactly.
 func genPoints(rng *rand.Rand, n, d int) []Point {
 	blobs := 1 + rng.Intn(4)
 	centers := make([]Point, blobs)
@@ -158,7 +156,7 @@ func genPoints(rng *rand.Rand, n, d int) []Point {
 				p[j] = c[j] + 0.3*rng.NormFloat64()
 			}
 		}
-		if rng.Float64() < 0.2 { // snap onto a lattice: exact cell-boundary values
+		if rng.Float64() < 0.2 { // snap onto a lattice: exact ties
 			for j := range p {
 				p[j] = math.Round(p[j]*4) / 4
 			}
@@ -275,6 +273,9 @@ func adversarialCases() []adversarialCase {
 	}
 }
 
+// TestGridGoldenAdversarial runs the adversarial table through the
+// computed-rows path. It keeps the name it had when that path could
+// also take a grid index.
 func TestGridGoldenAdversarial(t *testing.T) {
 	for _, tc := range adversarialCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -314,25 +315,22 @@ func withInf(n int) []Point {
 	return pts
 }
 
-// hugeSpan puts one point astronomically far away so span/cell
-// overflows the cell-index range, forcing the fallback.
+// hugeSpan puts one point astronomically far away, so every distance
+// to it is huge and max(Lk) dwarfs the rest of the list.
 func hugeSpan(n int) []Point {
 	pts := genPoints(rand.New(rand.NewSource(13)), n, 2)
 	pts[0] = Point{1e30, 1e30}
 	return pts
 }
 
-// TestGridClusterOrderInvariance checks the satellite property: the
-// grid-backed path, like the naive one, partitions points identically
-// (up to cluster renumbering) under input permutation.
-func TestGridClusterOrderInvariance(t *testing.T) {
+// TestClusterPermutationInvariance checks that the computed-rows path,
+// like the naive one, partitions points identically (up to cluster
+// renumbering) under input permutation.
+func TestClusterPermutationInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 20; trial++ {
 		n, d := 120+rng.Intn(200), 1+rng.Intn(3)
 		pts := genPoints(rng, n, d)
-		if !gridUsable(n, d) {
-			t.Fatalf("trial %d: expected the grid path for n=%d d=%d", trial, n, d)
-		}
 		eps := 0.2 + rng.Float64()
 		labels := Cluster(pts, eps, 3)
 		perm := rng.Perm(n)
@@ -396,65 +394,6 @@ func canonicalLabels(labels []int) []int {
 		out[i] = id
 	}
 	return out
-}
-
-// TestGridPathIsActuallyExercised guards against silently losing the
-// optimization: on the detector's own shape (hundreds of rows, few
-// selected attributes) the grid must engage, and on a degenerate shape
-// it must not.
-func TestGridPathIsActuallyExercised(t *testing.T) {
-	if !gridUsable(600, 3) {
-		t.Error("grid should engage on a 600×3 detection window")
-	}
-	if gridUsable(600, 7) {
-		t.Error("grid should fall back when 2·3^d exceeds n")
-	}
-	if gridUsable(10, 2) {
-		t.Error("grid should fall back below the small-n cutoff")
-	}
-	if gridUsable(600, 9) {
-		t.Error("grid should fall back above maxGridDim")
-	}
-	pts := genPoints(rand.New(rand.NewSource(21)), 400, 3)
-	g := getGrid()
-	defer putGrid(g)
-	if !g.build(pts, 0.5) {
-		t.Fatal("grid build failed on a healthy point set")
-	}
-	g.buildOffsets()
-	if len(g.offsets) != 27 {
-		t.Errorf("3^3 offsets = %d, want 27", len(g.offsets))
-	}
-	// Spot-check a neighbour list against the naive scan.
-	for _, i := range []int{0, 17, 399} {
-		var want []int32
-		for j := range pts {
-			if Distance(pts[i], pts[j]) <= 0.5 {
-				want = append(want, int32(j))
-			}
-		}
-		got := g.neighbours(pts, i, 0.5, nil)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("neighbours(%d) = %v, want %v", i, got, want)
-		}
-	}
-}
-
-func TestSortInt32s(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{0, 1, 2, 24, 25, 200} {
-		s := make([]int32, n)
-		for i := range s {
-			s[i] = int32(rng.Intn(50))
-		}
-		want := make([]int32, n)
-		copy(want, s)
-		sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
-		sortInt32s(s)
-		if !reflect.DeepEqual(s, want) {
-			t.Fatalf("n=%d: %v", n, s)
-		}
-	}
 }
 
 func BenchmarkClusterNaive(b *testing.B) {

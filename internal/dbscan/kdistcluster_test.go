@@ -57,7 +57,7 @@ func checkPass(t testing.TB, pts []Point, minPts int, epsFrom func([]float64) (f
 
 // TestKDistClusterAcrossMatrixCap covers both sides of the matrix cap:
 // up to matrixCap points the pass reads the distance matrix, one more
-// and it takes the grid (d=2) or computed rows (d=9).
+// and it computes rows.
 func TestKDistClusterAcrossMatrixCap(t *testing.T) {
 	for _, n := range []int{matrixCap - 1, matrixCap, matrixCap + 1} {
 		for _, d := range []int{2, 9} {
@@ -160,11 +160,11 @@ func FuzzKDistClusterEquivalence(f *testing.F) {
 
 // BenchmarkKDistCluster compares one clustering pass (k-dist, the
 // detector's eps, DBSCAN) through the distance matrix against the same
-// pass through the grid where it applies (d <= 5 at n = 600) and
-// computed rows elsewhere, at the detection window's size and one size
-// above matrixCap, where the pass itself takes the grid.
+// pass through computed rows, at the detection window's size and at
+// twice matrixCap, where the pass itself computes rows, in 3 and in 6
+// dimensions.
 func BenchmarkKDistCluster(b *testing.B) {
-	shapes := []struct{ n, d int }{{600, 2}, {600, 3}, {600, 5}, {600, 8}, {600, 16}, {600, 32}, {2048, 3}}
+	shapes := []struct{ n, d int }{{600, 2}, {600, 3}, {600, 5}, {600, 8}, {600, 16}, {600, 32}, {2048, 3}, {2048, 6}}
 	for _, sh := range shapes {
 		pts := genPoints(rand.New(rand.NewSource(int64(sh.n+sh.d))), sh.n, sh.d)
 		name := fmt.Sprintf("n=%d/d=%d", sh.n, sh.d)

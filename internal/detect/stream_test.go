@@ -66,6 +66,21 @@ func buildStreamTrace(seed int64, rows int) *metrics.Dataset {
 	return ds
 }
 
+// buildLongTrace is a plain simulated trace of the given length,
+// workload seed 1, with one 60-s PoorPhysicalDesign injection in its
+// middle and no degenerate columns. Above 1,024 rows its clustering
+// pass computes rows instead of filling the distance matrix.
+func buildLongTrace(rows int) *metrics.Dataset {
+	cfg := workload.DefaultConfig()
+	cfg.Seed = 1
+	injs := []anomaly.Injection{{Kind: anomaly.PoorPhysicalDesign, Start: rows / 2, Duration: 60}}
+	ds, err := collector.Align(workload.NewSimulator(cfg).Run(1000, rows, anomaly.Perturb(injs)))
+	if err != nil {
+		panic(err)
+	}
+	return ds
+}
+
 // windowSlice materializes rows [lo, hi) of ds as a standalone dataset —
 // the snapshot the batch reference detector runs on.
 func windowSlice(ds *metrics.Dataset, lo, hi int) *metrics.Dataset {
@@ -155,9 +170,13 @@ func TestStreamMatchesBatchDetect(t *testing.T) {
 
 // TestDetectMatchesReference pins batch Detect, a one-shot Stream, to
 // the verbatim pre-stream pipeline on whole datasets: the degenerate
-// columns, datasets shorter than tau, tau 1 and 0, a larger minPts and
-// a zero potential threshold that selects nearly every attribute.
+// columns, datasets shorter than tau, tau 1 and 0, a larger minPts, a
+// zero potential threshold that selects nearly every attribute, and a
+// 1,200-row trace whose clustering pass runs above the matrix cap.
 func TestDetectMatchesReference(t *testing.T) {
+	long := buildLongTrace(1200)
+	requireSameResult(t, "rows=1200", Detect(long, DefaultParams()), refDetect(long, DefaultParams()))
+
 	ds := buildStreamTrace(23, 600)
 	params := []Params{DefaultParams(), {Tau: 1, PotentialThreshold: 0.3, MinPts: 3, SmallClusterFraction: 0.2},
 		{Tau: 0, PotentialThreshold: 0.3, MinPts: 3, SmallClusterFraction: 0.2},
@@ -264,6 +283,20 @@ func BenchmarkDetectTickStream(b *testing.B) {
 		idx++
 		res := s.Detect()
 		if res.Abnormal == nil {
+			b.Fatal("no result")
+		}
+	}
+}
+
+// BenchmarkDetectLongTrace is batch Detect on a 2,400-row trace, where
+// the clustering pass computes rows instead of filling the matrix.
+func BenchmarkDetectLongTrace(b *testing.B) {
+	ds := buildLongTrace(2400)
+	p := DefaultParams()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := Detect(ds, p); res.Abnormal == nil {
 			b.Fatal("no result")
 		}
 	}

@@ -650,7 +650,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request, tenant str
 		writeError(w, r, http.StatusNotFound, CodeDatasetNotFound, err)
 		return
 	}
-	det, err := detectorByName(req.Detector)
+	det, err := dbsherlock.DetectorByName(req.Detector)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, CodeUnknownDetector, err)
 		return
@@ -672,19 +672,6 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request, tenant str
 		resp["count"] = region.Count()
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func detectorByName(name string) (dbsherlock.Detector, error) {
-	switch name {
-	case "", "dbscan":
-		return dbsherlock.NewDBSCANDetector(), nil
-	case "threshold":
-		return dbsherlock.NewThresholdDetector(dbsherlock.AvgLatencyAttr, 3), nil
-	case "perfaugur":
-		return dbsherlock.NewPerfAugurDetector(dbsherlock.AvgLatencyAttr), nil
-	default:
-		return nil, fmt.Errorf("unknown detector %q", name)
-	}
 }
 
 // regionRanges compacts a region into [from, to) ranges, iterating the
