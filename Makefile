@@ -101,9 +101,10 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./...
 
 # Short fuzz campaigns over the CSV parser, the model-merge rule, the
-# region iterator round-trip, DBSCAN through computed rows and the
-# clustering pass, the store's on-disk decoders, the Prometheus
-# exposition writer and the batch-request decoder.
+# region iterator round-trip, DBSCAN without a stored triangle and the
+# clustering pass, the streaming detector's potential power, the
+# store's on-disk decoders, the Prometheus exposition writer and the
+# batch-request decoder.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=10s ./internal/collector/
 	$(GO) test -run='^$$' -fuzz=FuzzMergePredicates -fuzztime=10s ./internal/causal/
@@ -111,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRegionRoundTrip -fuzztime=10s ./internal/metrics/
 	$(GO) test -run='^$$' -fuzz=FuzzClusterEquivalence -fuzztime=10s ./internal/dbscan/
 	$(GO) test -run='^$$' -fuzz=FuzzKDistClusterEquivalence -fuzztime=10s ./internal/dbscan/
+	$(GO) test -run='^$$' -fuzz=FuzzStreamPotentialPower -fuzztime=10s ./internal/detect/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz=FuzzWritePrometheus -fuzztime=10s ./internal/obs/
@@ -141,10 +143,10 @@ bench-alloc:
 
 # Regenerate the numbers behind BENCH_detect.json (per-tick monitoring
 # cost, snapshot+batch Detect vs the streaming path, and batch Detect on
-# a 2,400-row trace, above the matrix cap; one clustering pass through
-# the distance matrix vs computed rows at the window size, d = 2..32,
-# and above the matrix cap at d = 3 and 6; and the computed-rows stress
-# shapes; commit the medians across the 5 repetitions). The O(n^2)
+# a 2,400-row trace, above the matrix cap; one clustering pass vs its
+# stages run without a stored triangle at the window size, d = 2..32,
+# and above the matrix cap at d = 3 and 6; and the stress shapes without
+# a stored triangle; commit the medians across the 5 repetitions). The O(n^2)
 # reference at n=20000 takes ~40 s per iteration and only runs with
 # DBSHERLOCK_BENCH_FULL=1.
 bench-detect:

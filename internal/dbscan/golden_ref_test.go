@@ -13,14 +13,16 @@ import (
 // paths must be byte-identical to the naive O(n²) implementations.
 // refCluster below is a verbatim copy of the pre-grid Cluster and KDist
 // is the naive k-dist list, both reference code. Cluster/ClusterInto
-// and KDistIndexed/KDistInto run the pass's stages through computed
-// rows, never the distance matrix: the path a pass takes above
-// matrixCap points. The tests drive them over randomized and
+// and KDistIndexed/KDistInto run the pass's stages after a sweep that
+// stores no triangle, so DBSCAN computes the distances it reads: the
+// path a pass takes above matrixCap points. The tests drive them over
+// randomized and
 // adversarial point sets (non-finite coordinates, degenerate eps,
 // duplicate points) and require exact equality; kdistcluster_test.go
 // does the same for KDistCluster itself.
 
-// Cluster runs DBSCAN through computed rows, never the distance matrix.
+// Cluster runs DBSCAN at a given eps after a sweep that stores no
+// triangle.
 func Cluster(points []Point, eps float64, minPts int) []int {
 	return ClusterInto(nil, points, eps, minPts)
 }
@@ -29,11 +31,11 @@ func Cluster(points []Point, eps float64, minPts int) []int {
 func ClusterInto(dst []int, points []Point, eps float64, minPts int) []int {
 	sc := getScratch(points)
 	defer putScratch(sc)
+	sc.sweep(minPts, false)
 	return sc.cluster(dst, eps, minPts)
 }
 
-// KDistIndexed is the k-dist list through computed rows, never the
-// distance matrix.
+// KDistIndexed is the k-dist list from a sweep that stores no triangle.
 func KDistIndexed(points []Point, k int) []float64 {
 	return KDistInto(nil, points, k)
 }
@@ -42,6 +44,7 @@ func KDistIndexed(points []Point, k int) []float64 {
 func KDistInto(dst []float64, points []Point, k int) []float64 {
 	sc := getScratch(points)
 	defer putScratch(sc)
+	sc.sweep(k, false)
 	return sc.kdist(dst, k)
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"dbsherlock/internal/core"
 	"dbsherlock/internal/dbscan"
@@ -26,17 +25,23 @@ import (
 // An attribute's potential power (Equation 4) is the largest absolute
 // difference between the median of its normalized values and the
 // median of any tau-row window of them: high for an abrupt, sustained
-// level shift, low for flat or white-noise attributes. A one-shot pass
-// computes it from scratch. A long-lived Stream keeps per-attribute
-// state across ticks — monotonic min/max deques over the raw window, a
-// sorted multiset of normalized values for the overall median, and a
-// continuation of the tau-window median sweep — so a tick costs
-// O(rows-added) per attribute when the window's min/max are stable,
-// falling back to a full per-attribute rebuild when they shift.
-// Equality is exact because every maintained quantity is rebuilt from
-// scratch the moment its normalization inputs change, and the
-// potential-power maximum over window medians is attained at the median
-// set's extremes, which the deques track bitwise.
+// level shift, low for flat or white-noise attributes. Equation 2's
+// normalization (x − min)/(max − min) is monotone, so under a finite
+// span it keeps the window's sorted order and every median's order
+// statistics: the medians can be found in raw units and normalized
+// afterwards. Append therefore keeps each attribute's state in raw
+// units, whatever the window's extremes: min/max deques, the last tau
+// rows sorted, and for every tau-window the ring offsets of its median's
+// order statistics. Detect selects the overall median's order statistics
+// from the raw window, normalizes the medians of the tau-windows added
+// since the last tick into min/max deques, and takes Equation 4 from the
+// deques' fronts. When the window's min or max has moved, it normalizes
+// every tau-window median again from its offsets, in O(rows) with no
+// sort. A window whose extremes are infinite, or whose span overflows,
+// maps some finite values to NaN; there Equation 4 is computed from
+// scratch, as the batch reference does. Every value is bitwise what a
+// from-scratch pass computes, up to the sign of a zero median, which
+// |overall − m| does not see.
 //
 // Stream is not safe for concurrent use; serialize Append and Detect.
 type Stream struct {
@@ -56,6 +61,7 @@ type Stream struct {
 
 	// Reused per-tick scratch. Detect's Result aliases region and
 	// selected; it is valid only until the next Detect call.
+	sel      [][]float64 // one buffer per worker for the overall median's selection
 	flat     []float64
 	pts      []dbscan.Point
 	lk       []float64
@@ -77,30 +83,29 @@ type idxVal struct {
 // attrStream is the incremental detection state of one numeric
 // attribute.
 type attrStream struct {
-	ring    []float64 // raw values; absolute row r lives at ring[r%cap]
-	dropped []float64 // raw values evicted since the last Detect
+	ring []float64 // raw values; absolute row r lives at ring[r%cap]
 
-	// Monotonic deques over the raw window, maintained on every append.
-	// Their fronts are bitwise-identical to stats.MinMax over the
-	// window: strict-inequality pops keep the first-encountered extreme,
-	// matching MinMax's strict < and > updates.
+	// Raw-unit state, kept by push whatever the window's extremes.
+	// minDq and maxDq are monotonic deques over the raw window; their
+	// fronts are bitwise stats.MinMax over it, as strict-inequality pops
+	// keep the first-encountered extreme like MinMax's strict < and >.
+	// When the window is longer than tau, tail holds the ring offsets of
+	// the non-NaN values among the last tau rows in ascending value
+	// order, and med holds, at 2·(r%cap), the ring offsets of the two
+	// middle order statistics (equal for an odd count, −1 for none) of
+	// the tau-window ending at absolute row r.
 	minDq, maxDq []idxVal
+	tail         []int32
+	med          []int32
 
-	// Normalization-dependent state, valid only while (ok, min, max)
-	// match the cached triple below. Any change triggers a full rebuild,
-	// so every value here is always bitwise what a from-scratch pass
-	// would compute on the current window.
-	built     bool
-	ok        bool
-	min, max  float64
-	prevRows  int
-	prevTotal int
-
-	sortedNorm []float64 // sorted non-NaN normalized values of the window
-	tail       []float64 // sorted non-NaN normalized values of the last tau rows
-
-	// Monotonic deques over the sliding-window medians, keyed by each
-	// window's absolute end row (NaN medians skipped).
+	// Normalized state, valid while built and the window's extremes
+	// are bitwise (min, max): min/max deques over the normalized
+	// tau-window medians, keyed by each window's end row, fed up to end
+	// row seen-1.
+	built          bool
+	ok             bool // the window has a non-NaN value
+	min, max       float64
+	seen           int
 	medMin, medMax []idxVal
 
 	pp float64 // potential power as of the last Detect
@@ -139,7 +144,12 @@ func (s *Stream) Append(ds *metrics.Dataset) {
 		for _, a := range s.schema {
 			if a.Type == metrics.Numeric {
 				s.names = append(s.names, a.Name)
-				s.attrs = append(s.attrs, attrStream{ring: make([]float64, s.cap)})
+				st := attrStream{ring: make([]float64, s.cap)}
+				if s.cap > s.tau {
+					st.tail = make([]int32, 0, s.tau)
+					st.med = make([]int32, 2*s.cap)
+				}
+				s.attrs = append(s.attrs, st)
 			} else {
 				s.cats = append(s.cats, make([]string, s.cap))
 			}
@@ -153,7 +163,7 @@ func (s *Stream) Append(ds *metrics.Dataset) {
 	for i := range s.schema {
 		col := ds.ColumnAt(i)
 		if col.Attr.Type == metrics.Numeric {
-			s.attrs[k].push(col.Num, s.total, s.cap)
+			s.attrs[k].push(col.Num, s.total, s.cap, s.tau)
 			k++
 			continue
 		}
@@ -204,7 +214,12 @@ func (s *Stream) window() *metrics.Dataset {
 // unroll copies the n ring entries starting at absolute row lo out in
 // row order.
 func unroll[T any](ring []T, lo, n int) []T {
-	out := make([]T, 0, n)
+	return unrollInto(make([]T, 0, n), ring, lo, n)
+}
+
+// unrollInto is unroll into dst's storage, grown as needed.
+func unrollInto[T any](dst, ring []T, lo, n int) []T {
+	out := dst[:0]
 	if n == 0 {
 		return out
 	}
@@ -215,24 +230,21 @@ func unroll[T any](ring []T, lo, n int) []T {
 	return append(out, ring[start:start+n]...)
 }
 
-// push appends raw values for absolute rows [total, total+len(vals)),
-// capturing evicted values and maintaining the raw min/max deques.
-func (a *attrStream) push(vals []float64, total, cap int) {
+// push appends raw values for absolute rows [total, total+len(vals))
+// and keeps the raw-unit state: the min/max deques and, when the
+// window is longer than tau, the sorted last tau rows and each new
+// tau-window's median offsets.
+func (a *attrStream) push(vals []float64, total, cap, tau int) {
+	slot := total % cap
+	out := ((total-tau)%cap + cap) % cap // slot of row total-tau, when the tail is kept
 	for i, x := range vals {
 		r := total + i
-		if r >= cap {
-			// The value of row r-cap is about to be overwritten; keep it
-			// so Detect can unwind it from the sorted multiset. If
-			// Detect hasn't run for over a window's worth of rows the
-			// incremental state is a lost cause — drop it and rebuild.
-			if len(a.dropped) >= cap {
-				a.dropped = a.dropped[:0]
-				a.built = false
-			} else {
-				a.dropped = append(a.dropped, a.ring[r%cap])
-			}
+		if a.med != nil && r >= tau && !math.IsNaN(a.ring[out]) {
+			// Row r-tau leaves the last tau rows. cap > tau, so its
+			// ring slot still holds it.
+			a.removeTail(int32(out))
 		}
-		a.ring[r%cap] = x
+		a.ring[slot] = x
 		if !math.IsNaN(x) {
 			lo := r + 1 - cap // oldest row still in the window after this push
 			for len(a.minDq) > 0 && a.minDq[0].idx < lo {
@@ -250,7 +262,44 @@ func (a *attrStream) push(vals []float64, total, cap int) {
 			}
 			a.maxDq = append(a.maxDq, idxVal{r, x})
 		}
+		if a.med != nil {
+			if !math.IsNaN(x) {
+				a.insertTail(int32(slot), x)
+			}
+			if r >= tau-1 {
+				lo, hi := int32(-1), int32(-1)
+				if c := len(a.tail); c > 0 {
+					lo, hi = a.tail[(c-1)/2], a.tail[c/2]
+				}
+				a.med[2*slot], a.med[2*slot+1] = lo, hi
+			}
+		}
+		if slot++; slot == cap {
+			slot = 0
+		}
+		if out++; out == cap {
+			out = 0
+		}
 	}
+}
+
+// insertTail inserts ring offset slot, holding x, into the sorted tail,
+// after the entries not above x: one insertion-sort step, as the tail
+// holds at most tau entries.
+func (a *attrStream) insertTail(slot int32, x float64) {
+	t := append(a.tail, slot)
+	i := len(t) - 1
+	for ; i > 0 && a.ring[t[i-1]] > x; i-- {
+		t[i] = t[i-1]
+	}
+	t[i] = slot
+	a.tail = t
+}
+
+// removeTail removes ring offset slot from the tail.
+func (a *attrStream) removeTail(slot int32) {
+	i := slices.Index(a.tail, slot)
+	a.tail = append(a.tail[:i], a.tail[i+1:]...)
 }
 
 // norm is Equation (2) on one value under the attribute's cached window
@@ -308,8 +357,11 @@ func (s *Stream) detect(ctx context.Context) (Result, error) {
 	lo := s.total - rows
 
 	// Select attributes with an abrupt sustained change (Equation 4).
-	err := core.ForEachCtx(ctx, len(s.attrs), s.workers, func(k int) {
-		s.attrs[k].update(lo, rows, s.tau, s.total, s.cap)
+	if len(s.sel) < s.workers {
+		s.sel = make([][]float64, s.workers)
+	}
+	err := core.ForEachWorkerCtx(ctx, len(s.attrs), s.workers, func(w, k int) {
+		s.attrs[k].update(lo, rows, s.tau, s.total, s.cap, &s.sel[w])
 	})
 	if err != nil {
 		return res, err
@@ -335,8 +387,12 @@ func (s *Stream) detect(ctx context.Context) (Result, error) {
 	flat := s.flat[:rows*d]
 	for c, k := range s.selIdx {
 		a := &s.attrs[k]
+		slot := lo % s.cap
 		for i := 0; i < rows; i++ {
-			flat[i*d+c] = a.normPoint(a.ring[(lo+i)%s.cap])
+			flat[i*d+c] = a.normPoint(a.ring[slot])
+			if slot++; slot == s.cap {
+				slot = 0
+			}
 		}
 	}
 	if cap(s.pts) < rows {
@@ -391,9 +447,10 @@ func (s *Stream) detect(ctx context.Context) (Result, error) {
 }
 
 // update brings one attribute's potential power to the current window
-// [lo, lo+rows), incrementally when the cached normalization is still
-// valid and by full rebuild otherwise.
-func (a *attrStream) update(lo, rows, tau, total, cap int) {
+// [lo, lo+rows). Under an unchanged finite span it normalizes only the
+// tau-window medians added since the last tick; under a moved extreme
+// it normalizes them all again from their offsets.
+func (a *attrStream) update(lo, rows, tau, total, cap int, sel *[]float64) {
 	// NaN-only pushes don't pop expired entries; do it before reading.
 	for len(a.minDq) > 0 && a.minDq[0].idx < lo {
 		a.minDq = a.minDq[1:]
@@ -402,146 +459,163 @@ func (a *attrStream) update(lo, rows, tau, total, cap int) {
 		a.maxDq = a.maxDq[1:]
 	}
 	ok := len(a.minDq) > 0
-	var min, max float64
+	var lowest, highest float64
 	if ok {
-		min, max = a.minDq[0].v, a.maxDq[0].v
+		lowest, highest = a.minDq[0].v, a.maxDq[0].v
 	}
-	if !ok || max-min == 0 {
-		// All-NaN window → overall median NaN → pp 0; constant window →
-		// every normalized value 0 → pp 0. Either way a from-scratch pass
-		// reports zero potential, and the sorted state is stale.
+	same := a.built && math.Float64bits(a.min) == math.Float64bits(lowest) &&
+		math.Float64bits(a.max) == math.Float64bits(highest)
+	a.ok, a.min, a.max = ok, lowest, highest
+	a.built = false
+	span := highest - lowest
+	switch {
+	case !ok || span == 0 || rows <= tau:
+		// An all-NaN window has a NaN overall median, a constant one
+		// normalizes to all zeros, and a window of at most tau rows
+		// is its own only tau-window: a from-scratch pass reports zero
+		// potential for each.
 		a.pp = 0
-		a.built = false
-		a.invalidate(ok, min, max, rows, total)
+		return
+	case math.IsInf(span, 0) || math.IsNaN(span):
+		*sel = unrollInto(*sel, a.ring, lo, rows)
+		a.pp = scratchPower(*sel, tau)
 		return
 	}
-	added := total - a.prevTotal
-	sameNorm := a.built && a.ok == ok &&
-		math.Float64bits(a.min) == math.Float64bits(min) &&
-		math.Float64bits(a.max) == math.Float64bits(max)
-	if sameNorm && a.prevRows >= tau && rows >= tau && added <= rows-tau {
-		a.advance(lo, tau, total, cap)
+	first := lo + tau - 1 // end row of the window's first tau-window
+	from := first
+	if same {
+		from = max(a.seen, first)
+		for len(a.medMin) > 0 && a.medMin[0].idx < first {
+			a.medMin = a.medMin[1:]
+		}
+		for len(a.medMax) > 0 && a.medMax[0].idx < first {
+			a.medMax = a.medMax[1:]
+		}
 	} else {
-		a.ok, a.min, a.max = ok, min, max
-		a.rebuild(lo, rows, tau, cap)
+		a.medMin, a.medMax = a.medMin[:0], a.medMax[:0]
 	}
-	a.finish(rows, total)
+	for r, slot := from, from%cap; r < total; r++ {
+		if l, h := a.med[2*slot], a.med[2*slot+1]; l >= 0 {
+			a.pushMed(r, a.mid(a.ring[l], a.ring[h], l == h))
+		}
+		if slot++; slot == cap {
+			slot = 0
+		}
+	}
+	a.built, a.seen = true, total
 
-	overall := stats.MedianSorted(a.sortedNorm)
-	pp := 0.0
-	if len(a.medMin) > 0 {
-		if d := math.Abs(overall - a.medMin[0].v); d > pp {
-			pp = d
-		}
-		if d := math.Abs(overall - a.medMax[0].v); d > pp {
-			pp = d
-		}
+	overall := a.overall(lo, rows, sel)
+	pp := math.Abs(overall - a.medMin[0].v)
+	if d := math.Abs(overall - a.medMax[0].v); d > pp {
+		pp = d
 	}
 	a.pp = pp
 }
 
-// invalidate records the cache key and discards pending eviction work
-// after a tick that produced no sorted state.
-func (a *attrStream) invalidate(ok bool, min, max float64, rows, total int) {
-	a.ok, a.min, a.max = ok, min, max
-	a.finish(rows, total)
+// mid normalizes the middle order statistics of a window's non-NaN
+// values, lo and hi, and takes their median as stats.Median and
+// stats.SlidingWindowMedians do after normalizing: lo alone for an odd
+// count, else the two interpolated at 1/2.
+func (a *attrStream) mid(lo, hi float64, odd bool) float64 {
+	x := a.norm(lo)
+	if odd {
+		return x
+	}
+	return x*0.5 + a.norm(hi)*0.5
 }
 
-func (a *attrStream) finish(rows, total int) {
-	a.dropped = a.dropped[:0]
-	a.prevRows = rows
-	a.prevTotal = total
+// overall is the normalized median of the window's non-NaN values. It
+// selects the raw order statistics in *sel (grown as needed) and
+// normalizes them, which the monotone normalization allows.
+func (a *attrStream) overall(lo, rows int, sel *[]float64) float64 {
+	v := unrollInto(*sel, a.ring, lo, rows)
+	*sel = v
+	n := 0
+	for _, x := range v {
+		if !math.IsNaN(x) {
+			v[n] = x
+			n++
+		}
+	}
+	v = v[:n]
+	k := (n - 1) / 2
+	selectRank(v, k)
+	hi := v[k]
+	if n%2 == 0 {
+		hi = slices.Min(v[k+1:])
+	}
+	return a.mid(v[k], hi, n%2 == 1)
 }
 
-// advance applies the rows evicted and appended since the last tick to
-// the sorted state. Valid only when the normalization extremes are
-// unchanged (so retained normalized values are bitwise stable) and the
-// advance is small enough that every tau-window predecessor row is
-// still in the ring.
-func (a *attrStream) advance(lo, tau, total, cap int) {
-	for _, x := range a.dropped {
-		if nx := a.norm(x); !math.IsNaN(nx) {
-			a.sortedNorm = stats.RemoveSorted(a.sortedNorm, nx)
+// selectRank reorders v, which holds finite values only, so that v[k]
+// is its k-th smallest value (from 0), no value before it is greater
+// and none after it smaller. Each round partitions around a median of
+// three, first the values below the pivot to the front, then the ones
+// equal to it after them, taking "below" from the sign of the
+// difference so the loop has no data-dependent branch. That order puts
+// −0 before +0, which refines numeric order and leaves every order
+// statistic's value as it was. After 64 rounds what is left is sorted.
+func selectRank(v []float64, k int) {
+	lo, hi := 0, len(v)
+	for round := 0; hi-lo > 1; round++ {
+		if round == 64 {
+			slices.Sort(v[lo:hi])
+			return
 		}
-	}
-	for r := a.prevTotal; r < total; r++ {
-		if nx := a.norm(a.ring[r%cap]); !math.IsNaN(nx) {
-			a.sortedNorm = stats.InsertSorted(a.sortedNorm, nx)
+		a, b, c := v[lo], v[lo+(hi-lo)/2], v[hi-1]
+		if b < a {
+			a, b = b, a
 		}
-	}
-
-	// Window positions are keyed by their absolute end row; the first
-	// surviving position ends at lo+tau-1.
-	newBase := lo + tau - 1
-	for len(a.medMin) > 0 && a.medMin[0].idx < newBase {
-		a.medMin = a.medMin[1:]
-	}
-	for len(a.medMax) > 0 && a.medMax[0].idx < newBase {
-		a.medMax = a.medMax[1:]
-	}
-
-	// Continue the tau-window median sweep over the appended rows: the
-	// same remove-outgoing/insert-incoming shift SlidingWindowMedians
-	// performs, picked up where the last tick left off.
-	for r := a.prevTotal; r < total; r++ {
-		if out := a.norm(a.ring[(r-tau)%cap]); !math.IsNaN(out) {
-			a.tail = stats.RemoveSorted(a.tail, out)
+		if c < b {
+			b = max(a, c)
 		}
-		if in := a.norm(a.ring[r%cap]); !math.IsNaN(in) {
-			a.tail = stats.InsertSorted(a.tail, in)
+		p := b
+		s := lo // v[lo:s] < p
+		for i := lo; i < hi; i++ {
+			x := v[i]
+			v[i] = v[s]
+			v[s] = x
+			s += int(math.Float64bits(x-p) >> 63)
 		}
-		a.pushMed(r, stats.MedianSorted(a.tail))
+		if k < s {
+			hi = s
+			continue
+		}
+		e := s // v[s:e] == p
+		for i := s; i < hi; i++ {
+			x := v[i]
+			v[i] = v[e]
+			v[e] = x
+			e += 1 - int(math.Float64bits(p-x)>>63)
+		}
+		if k < e {
+			return
+		}
+		lo = e
 	}
 }
 
-// rebuild recomputes the sorted state from the ring from scratch: the
-// normalized multiset, then the full SlidingWindowMedians sweep with an
-// effective tau clamped to the window length.
-func (a *attrStream) rebuild(lo, rows, tau, cap int) {
-	a.sortedNorm = slices.Grow(a.sortedNorm[:0], rows)
-	a.tail = a.tail[:0]
-	a.medMin = a.medMin[:0]
-	a.medMax = a.medMax[:0]
-
-	// One sort rather than rows insertions. It may order -0 and +0
-	// differently, which changes at most the sign of a zero median;
-	// potential power is |overall − m| and does not see it.
-	for i := 0; i < rows; i++ {
-		if nx := a.norm(a.ring[(lo+i)%cap]); !math.IsNaN(nx) {
-			a.sortedNorm = append(a.sortedNorm, nx)
+// scratchPower is Equation (4) from scratch over one attribute's raw
+// window values, as the batch reference computes it. The stream uses
+// it where the window's extremes are infinite or its span overflows.
+func scratchPower(values []float64, tau int) float64 {
+	norm := stats.Normalize(values)
+	overall := stats.Median(norm)
+	if math.IsNaN(overall) {
+		return 0
+	}
+	var pp float64
+	for _, m := range stats.SlidingWindowMedians(norm, tau) {
+		if d := math.Abs(overall - m); d > pp {
+			pp = d
 		}
 	}
-	sort.Float64s(a.sortedNorm)
-
-	effTau := tau
-	if effTau > rows {
-		effTau = rows
-	}
-	for i := 0; i < effTau; i++ {
-		if nx := a.norm(a.ring[(lo+i)%cap]); !math.IsNaN(nx) {
-			a.tail = stats.InsertSorted(a.tail, nx)
-		}
-	}
-	a.pushMed(lo+effTau-1, stats.MedianSorted(a.tail))
-	for w := 1; w+effTau <= rows; w++ {
-		if out := a.norm(a.ring[(lo+w-1)%cap]); !math.IsNaN(out) {
-			a.tail = stats.RemoveSorted(a.tail, out)
-		}
-		if in := a.norm(a.ring[(lo+w+effTau-1)%cap]); !math.IsNaN(in) {
-			a.tail = stats.InsertSorted(a.tail, in)
-		}
-		a.pushMed(lo+w+effTau-1, stats.MedianSorted(a.tail))
-	}
-	a.built = true
+	return pp
 }
 
 // pushMed feeds the median of the window ending at absolute row r to
-// the median extreme deques (NaN medians contribute nothing to
-// potential power).
+// the median extreme deques.
 func (a *attrStream) pushMed(r int, m float64) {
-	if math.IsNaN(m) {
-		return
-	}
 	for n := len(a.medMin); n > 0 && a.medMin[n-1].v > m; n-- {
 		a.medMin = a.medMin[:n-1]
 	}

@@ -167,27 +167,24 @@ func SlidingWindowMedians(xs []float64, tau int) []float64 {
 	win := make([]float64, 0, tau)
 	for _, x := range xs[:tau] {
 		if !math.IsNaN(x) {
-			win = InsertSorted(win, x)
+			win = insertSorted(win, x)
 		}
 	}
-	out = append(out, MedianSorted(win))
+	out = append(out, medianSorted(win))
 	for w := 1; w+tau <= len(xs); w++ {
 		if x := xs[w-1]; !math.IsNaN(x) {
-			win = RemoveSorted(win, x)
+			win = removeSorted(win, x)
 		}
 		if x := xs[w+tau-1]; !math.IsNaN(x) {
-			win = InsertSorted(win, x)
+			win = insertSorted(win, x)
 		}
-		out = append(out, MedianSorted(win))
+		out = append(out, medianSorted(win))
 	}
 	return out
 }
 
-// InsertSorted inserts x into sorted s, keeping it sorted. It is the
-// building block of every incremental sorted-window structure in this
-// repository (the sliding-median sweep above and the streaming
-// detector's per-attribute state).
-func InsertSorted(s []float64, x float64) []float64 {
+// insertSorted inserts x into sorted s, keeping it sorted.
+func insertSorted(s []float64, x float64) []float64 {
 	i := sort.SearchFloat64s(s, x)
 	s = append(s, 0)
 	copy(s[i+1:], s[i:])
@@ -195,17 +192,17 @@ func InsertSorted(s []float64, x float64) []float64 {
 	return s
 }
 
-// RemoveSorted removes one occurrence of x from sorted s. x must be
+// removeSorted removes one occurrence of x from sorted s. x must be
 // present: callers remove only values they previously inserted.
-func RemoveSorted(s []float64, x float64) []float64 {
+func removeSorted(s []float64, x float64) []float64 {
 	i := sort.SearchFloat64s(s, x)
 	copy(s[i:], s[i+1:])
 	return s[:len(s)-1]
 }
 
-// MedianSorted returns the median of an already-sorted slice with the
+// medianSorted returns the median of an already-sorted slice with the
 // same interpolation (and NaN-for-empty behaviour) as Quantile(s, 0.5).
-func MedianSorted(s []float64) float64 {
+func medianSorted(s []float64) float64 {
 	if len(s) == 0 {
 		return math.NaN()
 	}
