@@ -7,9 +7,9 @@
 GO ?= go
 SOAK ?= 2s
 
-.PHONY: ci fmt-check vet perfbench-vet lint build test race alloc-gate hygiene cache-gate model-gate soak bench-smoke fuzz-smoke bench-parallel bench-obs bench-alloc bench-detect bench-lifecycle bench-store bench-serve bench-ingest
+.PHONY: ci fmt-check vet perfbench-vet lint build test race alloc-gate hygiene cache-gate model-gate soak bench-smoke paper-check fuzz-smoke bench-parallel bench-obs bench-alloc bench-detect bench-lifecycle bench-store bench-serve bench-ingest
 
-ci: fmt-check vet perfbench-vet lint build race alloc-gate hygiene cache-gate model-gate soak bench-smoke
+ci: fmt-check vet perfbench-vet lint build race alloc-gate hygiene cache-gate model-gate soak bench-smoke paper-check
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -100,13 +100,39 @@ soak:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./...
 
-# Short fuzz campaigns over the CSV parser, the model-merge rule, the
+# The paper's tables as a byte-level oracle: rerun the full experiment
+# harness (cmd/experiments, about 31 s on a 2-vCPU host) into a temporary
+# directory and diff every CSV it writes against results/. A missing,
+# extra or changed table fails; only fig12a's generation_time_ms column,
+# a wall-clock reading, is left out. It reaches what no golden pins
+# byte for byte (PerfXplain, PerfAugur, App. F's synthetic SEM, the user
+# study, §5 pruning and §6.2 merging at 50 repetitions). A change that
+# means to move output regenerates results/ with
+# `go run ./cmd/experiments -csv results` in the same commit.
+PAPER_DROP_TIME = BEGIN { FS = OFS = "," } NR == 1 { for (i = 1; i <= NF; i++) if ($$i == "generation_time_ms") d = i } d { for (i = d; i < NF; i++) $$i = $$(i + 1); NF-- } { print }
+paper-check:
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; mkdir "$$dir/csv"; \
+	$(GO) run ./cmd/experiments -csv "$$dir/csv" >"$$dir/stdout" 2>&1 || { cat "$$dir/stdout"; exit 1; }; \
+	(cd results && ls *.csv) >"$$dir/want"; (cd "$$dir/csv" && ls *.csv) >"$$dir/got"; \
+	diff -u "$$dir/want" "$$dir/got" || { echo "paper-check: the harness wrote a different set of tables"; exit 1; }; \
+	fail=0; for f in $$(cat "$$dir/want"); do \
+		if [ "$$f" = fig12a.csv ]; then \
+			awk '$(PAPER_DROP_TIME)' "results/$$f" >"$$dir/a"; awk '$(PAPER_DROP_TIME)' "$$dir/csv/$$f" >"$$dir/b"; \
+		else cp "results/$$f" "$$dir/a"; cp "$$dir/csv/$$f" "$$dir/b"; fi; \
+		diff -u "$$dir/a" "$$dir/b" || { echo "paper-check: $$f differs from results/ (- committed, + rerun)"; fail=1; }; \
+	done; \
+	if [ $$fail != 0 ]; then exit 1; fi; \
+	echo "paper-check: $$(wc -l <"$$dir/want") tables match results/"
+
+# Short fuzz campaigns over the CSV parser, its float fast path
+# (differential against strconv.ParseFloat), the model-merge rule, the
 # region iterator round-trip, DBSCAN without a stored triangle and the
-# clustering pass, the streaming detector's potential power, the
-# store's on-disk decoders, the Prometheus exposition writer and the
+# clustering pass, the streaming detector's potential power, the store's
+# on-disk decoders, the Prometheus exposition writer and the
 # batch-request decoder.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=10s ./internal/collector/
+	$(GO) test -run='^$$' -fuzz=FuzzParseFloat -fuzztime=10s ./internal/collector/
 	$(GO) test -run='^$$' -fuzz=FuzzMergePredicates -fuzztime=10s ./internal/causal/
 	$(GO) test -run='^$$' -fuzz=FuzzMergeCategorical -fuzztime=10s ./internal/causal/
 	$(GO) test -run='^$$' -fuzz=FuzzRegionRoundTrip -fuzztime=10s ./internal/metrics/

@@ -2,6 +2,8 @@ package collector
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"testing"
 
 	"dbsherlock/internal/metrics"
@@ -75,35 +77,74 @@ func TestAlignEmptyFails(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
-	ds, err := Align(simLogs(t, 12))
-	if err != nil {
+// edgeDataset holds the values a decimal round trip most easily gets
+// wrong: signed zero, the smallest subnormal, the float64 extremes,
+// 2^53+1 (which float64 rounds to 2^53), NaN and both infinities, next
+// to categorical values that need CSV quoting.
+func edgeDataset(t *testing.T) *metrics.Dataset {
+	t.Helper()
+	ds := metrics.MustNewDataset([]int64{-3, 0, 1, 2, 3, 4, 5, 1 << 40})
+	if err := ds.AddNumeric("edge", []float64{
+		math.Copysign(0, -1), 5e-324, math.MaxFloat64, -math.MaxFloat64,
+		1<<53 + 1, math.NaN(), math.Inf(1), math.Inf(-1),
+	}); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, ds); err != nil {
+	if err := ds.AddCategorical("state", []string{"", "a,b", `say "hi"`, "line\nbreak", " pad ", "ok", "ok", "x"}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
+	return ds
+}
+
+// datasetDiff describes the first difference of got from want, or
+// returns "": the schema, every timestamp and categorical value exactly,
+// and every numeric cell bit for bit, so -0 differs from +0 and a NaN
+// matches only the same NaN.
+func datasetDiff(want, got *metrics.Dataset) string {
+	if got.Rows() != want.Rows() || got.NumAttrs() != want.NumAttrs() {
+		return fmt.Sprintf("shape %dx%d, want %dx%d", got.Rows(), got.NumAttrs(), want.Rows(), want.NumAttrs())
 	}
-	if back.Rows() != ds.Rows() || back.NumAttrs() != ds.NumAttrs() {
-		t.Fatalf("shape mismatch: %dx%d vs %dx%d", back.Rows(), back.NumAttrs(), ds.Rows(), ds.NumAttrs())
-	}
-	for j := 0; j < ds.NumAttrs(); j++ {
-		orig, got := ds.ColumnAt(j), back.ColumnAt(j)
-		if orig.Attr != got.Attr {
-			t.Fatalf("column %d attr mismatch: %v vs %v", j, orig.Attr, got.Attr)
+	wts, gts := want.Timestamps(), got.Timestamps()
+	for i := range wts {
+		if gts[i] != wts[i] {
+			return fmt.Sprintf("row %d timestamp %d, want %d", i, gts[i], wts[i])
 		}
-		for i := 0; i < ds.Rows(); i++ {
-			if orig.Attr.Type == metrics.Numeric {
-				if orig.Num[i] != got.Num[i] {
-					t.Fatalf("col %q row %d: %v vs %v", orig.Attr.Name, i, orig.Num[i], got.Num[i])
+	}
+	for j := 0; j < want.NumAttrs(); j++ {
+		w, g := want.ColumnAt(j), got.ColumnAt(j)
+		if g.Attr != w.Attr {
+			return fmt.Sprintf("column %d is %v, want %v", j, g.Attr, w.Attr)
+		}
+		for i := range wts {
+			if w.Attr.Type == metrics.Numeric {
+				if math.Float64bits(g.Num[i]) != math.Float64bits(w.Num[i]) {
+					return fmt.Sprintf("column %q row %d: %v (%#016x), want %v (%#016x)", w.Attr.Name, i,
+						g.Num[i], math.Float64bits(g.Num[i]), w.Num[i], math.Float64bits(w.Num[i]))
 				}
-			} else if orig.Cat[i] != got.Cat[i] {
-				t.Fatalf("col %q row %d: %q vs %q", orig.Attr.Name, i, orig.Cat[i], got.Cat[i])
+			} else if g.Cat[i] != w.Cat[i] {
+				return fmt.Sprintf("column %q row %d: %q, want %q", w.Attr.Name, i, g.Cat[i], w.Cat[i])
 			}
+		}
+	}
+	return ""
+}
+
+func TestCSVRoundTrip(t *testing.T) {
+	sim, err := Align(simLogs(t, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ds := range map[string]*metrics.Dataset{"simulated": sim, "edge values": edgeDataset(t)} {
+		var buf bytes.Buffer
+		if err := WriteCSV(&buf, ds); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCSV(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if d := datasetDiff(ds, back); d != "" {
+			t.Errorf("%s: %s", name, d)
 		}
 	}
 }
@@ -114,6 +155,8 @@ func TestReadCSVRejectsMalformed(t *testing.T) {
 		"nope,a\n1,2\n",
 		"timestamp,a\nxx,2\n",
 		"timestamp,a\n1,notanumber\n",
+		"timestamp,a\n1,1e400\n", // out of float64 range
+		"timestamp,a\n1,1e\n",
 	}
 	for _, in := range cases {
 		if _, err := ReadCSV(bytes.NewBufferString(in)); err == nil {

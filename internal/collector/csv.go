@@ -112,7 +112,7 @@ func (d *csvDecoder) next(b *chunkBuilder) (bool, error) {
 			b.str[c] = append(b.str[c], b.intern(f))
 			continue
 		}
-		x, err := strconv.ParseFloat(f, 64)
+		x, err := parseFloat(f)
 		if err != nil {
 			return false, fmt.Errorf("collector: csv row %d column %q: %w", d.row, d.names[c], err)
 		}
@@ -129,7 +129,10 @@ func (d *csvDecoder) next(b *chunkBuilder) (bool, error) {
 // ReadAll held every field of the file as a separate string at once).
 // csv.Reader's record buffer is reused across rows; the only strings
 // retained are the column names and one copy per distinct categorical
-// value.
+// value. Timestamps go through strconv.ParseInt. Numeric cells go
+// through the package's Eisel–Lemire fast path, which yields exactly
+// the bits, errors and ErrRange of strconv.ParseFloat(s, 64) because
+// every input outside its domain is handed to strconv.
 func ReadCSV(r io.Reader) (*metrics.Dataset, error) {
 	dec, err := newCSVDecoder(r)
 	if err != nil {

@@ -90,6 +90,8 @@ func (b *chunkBuilder) flush() (*metrics.Dataset, error) {
 // whole. The schema is fixed by the header and identical across chunks;
 // fn returning an error aborts the decode and is returned unwrapped so
 // callers (the ingest endpoint) can map their own sentinel errors.
+// Records decode as in ReadCSV, through the same decoder, so every
+// value and error is the one ReadCSV gives for the same text.
 func StreamCSV(r io.Reader, chunkRows int, fn func(*metrics.Dataset) error) error {
 	if chunkRows <= 0 {
 		chunkRows = DefaultChunkRows
@@ -136,9 +138,11 @@ const maxNDJSONLine = 1 << 20
 const ndjsonTimeKey = "ts"
 
 // StreamNDJSON decodes newline-delimited JSON samples: one object per
-// line with a numeric "ts" (unix seconds) plus one field per attribute
-// — JSON numbers become numeric attributes (null reads as NaN), JSON
-// strings categorical ones. The first line fixes the schema (attribute
+// line with a "ts" field plus one field per attribute — JSON numbers
+// become numeric attributes (null reads as NaN), JSON strings
+// categorical ones. "ts" is an integer number of unix seconds within
+// int64 range; a fraction or an out-of-range value is an error, as it
+// is in StreamCSV. The first line fixes the schema (attribute
 // names sorted, so the column order is deterministic regardless of JSON
 // key order); later lines must carry exactly the same fields. Every
 // chunkRows rows (<= 0: DefaultChunkRows) are flushed as one Dataset to
@@ -166,9 +170,13 @@ func StreamNDJSON(r io.Reader, chunkRows int, fn func(*metrics.Dataset) error) e
 		if !ok {
 			return fmt.Errorf("collector: ndjson line %d: missing %q field", row, ndjsonTimeKey)
 		}
+		// JSON numbers decode as float64. Every integral float64 in
+		// [-2^63, 2^63) converts to int64 exactly; anything else would
+		// be truncated or saturated, so it is refused as CSV refuses it.
 		tsf, ok := tsv.(float64)
-		if !ok {
-			return fmt.Errorf("collector: ndjson line %d: %q must be a number", row, ndjsonTimeKey)
+		if !ok || tsf != math.Trunc(tsf) || tsf < -(1<<63) || tsf >= 1<<63 {
+			return fmt.Errorf("collector: ndjson line %d: %q must be an integer number of unix seconds, got %v",
+				row, ndjsonTimeKey, tsv)
 		}
 		delete(obj, ndjsonTimeKey)
 

@@ -156,6 +156,11 @@ func TestStreamNDJSONErrors(t *testing.T) {
 		"empty stream":        "",
 		"missing ts":          `{"cpu": 1}`,
 		"non-numeric ts":      `{"ts": "x", "cpu": 1}`,
+		"fractional ts":       `{"ts": 1.5, "cpu": 1}`,
+		"ts above int64":      `{"ts": 9.3e18, "cpu": 1}`,
+		"ts far above int64":  `{"ts": 1e300, "cpu": 1}`,
+		"ts below int64":      `{"ts": -9.3e18, "cpu": 1}`,
+		"later fractional ts": "{\"ts\":1,\"cpu\":1}\n{\"ts\":2.25,\"cpu\":1}",
 		"no attributes":       `{"ts": 1}`,
 		"bad json":            `{"ts": 1, "cpu":`,
 		"schema width change": "{\"ts\":1,\"cpu\":1}\n{\"ts\":2,\"cpu\":1,\"io\":2}",
