@@ -126,16 +126,18 @@ paper-check:
 
 # Short fuzz campaigns over the CSV parser, its float fast path
 # (differential against strconv.ParseFloat), the model-merge rule, the
-# region iterator round-trip, DBSCAN without a stored triangle and the
-# clustering pass, the streaming detector's potential power, the store's
-# on-disk decoders, the Prometheus exposition writer and the
-# batch-request decoder.
+# region iterator round-trip, Eq. 3's boundary-walk separation
+# (differential against the full midpoint scan), DBSCAN without a
+# stored triangle and the clustering pass, the streaming detector's
+# potential power, the store's on-disk decoders, the Prometheus
+# exposition writer and the batch-request decoder.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=10s ./internal/collector/
 	$(GO) test -run='^$$' -fuzz=FuzzParseFloat -fuzztime=10s ./internal/collector/
 	$(GO) test -run='^$$' -fuzz=FuzzMergePredicates -fuzztime=10s ./internal/causal/
 	$(GO) test -run='^$$' -fuzz=FuzzMergeCategorical -fuzztime=10s ./internal/causal/
 	$(GO) test -run='^$$' -fuzz=FuzzRegionRoundTrip -fuzztime=10s ./internal/metrics/
+	$(GO) test -run='^$$' -fuzz=FuzzSeparation -fuzztime=10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzClusterEquivalence -fuzztime=10s ./internal/dbscan/
 	$(GO) test -run='^$$' -fuzz=FuzzKDistClusterEquivalence -fuzztime=10s ./internal/dbscan/
 	$(GO) test -run='^$$' -fuzz=FuzzStreamPotentialPower -fuzztime=10s ./internal/detect/

@@ -6,6 +6,7 @@
 package dbsherlock_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -262,6 +263,46 @@ func BenchmarkModelConfidence(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		model.Confidence(ds, abn, normal, p)
+	}
+}
+
+// BenchmarkDiagnoseReuse measures a diagnosis-cache hit's engine work:
+// Diagnose handed a captured DiagnosisState skips Algorithm 1, so what
+// is left is Equation 3's ranking of the learned causes against the
+// reused evaluator. As in perfbench's triage set-up, ten causes are
+// learned at theta 0.05 (dbsherlockd's default), one per anomaly class
+// from a 1,200-s trace each, and the first class's incident is re-read.
+func BenchmarkDiagnoseReuse(b *testing.B) {
+	a := dbsherlock.MustNew(dbsherlock.WithTheta(0.05))
+	var req dbsherlock.DiagnoseRequest
+	for i, kind := range dbsherlock.AnomalyKinds() {
+		cfg := dbsherlock.DefaultTestbed()
+		cfg.Seed = int64(100 + i)
+		ds, abn, err := dbsherlock.Simulate(cfg, 0, 1200, []dbsherlock.Injection{
+			{Kind: kind, Start: 300 + 50*i, Duration: 60 + 12*i},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := a.LearnCause(kind.String(), ds, abn, nil); err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			req = dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: abn, CaptureState: true}
+		}
+	}
+	ctx := context.Background()
+	cold, err := a.Diagnose(ctx, req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	req.CaptureState, req.Reuse = false, cold.State
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.Diagnose(ctx, req); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

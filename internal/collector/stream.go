@@ -2,11 +2,14 @@ package collector
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"dbsherlock/internal/metrics"
@@ -141,12 +144,15 @@ const ndjsonTimeKey = "ts"
 // line with a "ts" field plus one field per attribute — JSON numbers
 // become numeric attributes (null reads as NaN), JSON strings
 // categorical ones. "ts" is an integer number of unix seconds within
-// int64 range; a fraction or an out-of-range value is an error, as it
-// is in StreamCSV. The first line fixes the schema (attribute
-// names sorted, so the column order is deterministic regardless of JSON
-// key order); later lines must carry exactly the same fields. Every
-// chunkRows rows (<= 0: DefaultChunkRows) are flushed as one Dataset to
-// fn, as in StreamCSV.
+// int64 range, written without fraction or exponent: it is parsed as
+// an int64, exactly, and anything else is an error, as it is in
+// StreamCSV. Attribute numbers are parsed as StreamCSV parses them, so
+// an out-of-range one is an error. The first line fixes the schema
+// (attribute names sorted, so the column order is deterministic
+// regardless of JSON key order); later lines must carry exactly the
+// same fields. Errors name the 1-based line, blank lines counted.
+// Every chunkRows rows (<= 0: DefaultChunkRows) are flushed as one
+// Dataset to fn, as in StreamCSV.
 func StreamNDJSON(r io.Reader, chunkRows int, fn func(*metrics.Dataset) error) error {
 	if chunkRows <= 0 {
 		chunkRows = DefaultChunkRows
@@ -156,27 +162,26 @@ func StreamNDJSON(r io.Reader, chunkRows int, fn func(*metrics.Dataset) error) e
 
 	var b *chunkBuilder
 	var kinds map[string]bool // name -> categorical?
-	row := 0
+	line := 0
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line++
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 {
 			continue
 		}
-		var obj map[string]any
-		if err := json.Unmarshal([]byte(line), &obj); err != nil {
-			return fmt.Errorf("collector: ndjson line %d: %w", row, err)
+		obj, err := decodeSample(text)
+		if err != nil {
+			return fmt.Errorf("collector: ndjson line %d: %w", line, err)
 		}
 		tsv, ok := obj[ndjsonTimeKey]
 		if !ok {
-			return fmt.Errorf("collector: ndjson line %d: missing %q field", row, ndjsonTimeKey)
+			return fmt.Errorf("collector: ndjson line %d: missing %q field", line, ndjsonTimeKey)
 		}
-		// JSON numbers decode as float64. Every integral float64 in
-		// [-2^63, 2^63) converts to int64 exactly; anything else would
-		// be truncated or saturated, so it is refused as CSV refuses it.
-		tsf, ok := tsv.(float64)
-		if !ok || tsf != math.Trunc(tsf) || tsf < -(1<<63) || tsf >= 1<<63 {
+		num, _ := tsv.(json.Number) // any other type leaves "", which ParseInt refuses
+		ts, err := strconv.ParseInt(string(num), 10, 64)
+		if err != nil {
 			return fmt.Errorf("collector: ndjson line %d: %q must be an integer number of unix seconds, got %v",
-				row, ndjsonTimeKey, tsv)
+				line, ndjsonTimeKey, tsv)
 		}
 		delete(obj, ndjsonTimeKey)
 
@@ -187,7 +192,7 @@ func StreamNDJSON(r io.Reader, chunkRows int, fn func(*metrics.Dataset) error) e
 			}
 			sort.Strings(names)
 			if len(names) == 0 {
-				return fmt.Errorf("collector: ndjson line %d: sample carries no attributes", row)
+				return fmt.Errorf("collector: ndjson line %d: sample carries no attributes", line)
 			}
 			cat := make([]bool, len(names))
 			kinds = make(map[string]bool, len(names))
@@ -200,32 +205,35 @@ func StreamNDJSON(r io.Reader, chunkRows int, fn func(*metrics.Dataset) error) e
 		}
 		if len(obj) != len(b.names) {
 			return fmt.Errorf("collector: ndjson line %d has %d attributes, schema has %d",
-				row, len(obj), len(b.names))
+				line, len(obj), len(b.names))
 		}
 		for c, name := range b.names {
 			v, ok := obj[name]
 			if !ok {
-				return fmt.Errorf("collector: ndjson line %d: missing attribute %q", row, name)
+				return fmt.Errorf("collector: ndjson line %d: missing attribute %q", line, name)
 			}
 			if kinds[name] {
 				s, ok := v.(string)
 				if !ok {
-					return fmt.Errorf("collector: ndjson line %d: attribute %q must be a string", row, name)
+					return fmt.Errorf("collector: ndjson line %d: attribute %q must be a string", line, name)
 				}
 				b.str[c] = append(b.str[c], b.intern(s))
 				continue
 			}
 			switch x := v.(type) {
-			case float64:
-				b.num[c] = append(b.num[c], x)
+			case json.Number:
+				f, err := parseFloat(string(x))
+				if err != nil {
+					return fmt.Errorf("collector: ndjson line %d: attribute %q: %w", line, name, err)
+				}
+				b.num[c] = append(b.num[c], f)
 			case nil:
 				b.num[c] = append(b.num[c], math.NaN())
 			default:
-				return fmt.Errorf("collector: ndjson line %d: attribute %q must be a number", row, name)
+				return fmt.Errorf("collector: ndjson line %d: attribute %q must be a number", line, name)
 			}
 		}
-		b.ts = append(b.ts, int64(tsf))
-		row++
+		b.ts = append(b.ts, ts)
 		if b.rows() >= chunkRows {
 			ds, err := b.flush()
 			if err != nil {
@@ -239,15 +247,31 @@ func StreamNDJSON(r io.Reader, chunkRows int, fn func(*metrics.Dataset) error) e
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("collector: ndjson: %w", err)
 	}
-	if b != nil && b.rows() > 0 {
+	if b == nil {
+		return fmt.Errorf("collector: empty ndjson stream")
+	}
+	if b.rows() > 0 {
 		ds, err := b.flush()
 		if err != nil {
 			return fmt.Errorf("collector: %w", err)
 		}
 		return fn(ds)
 	}
-	if row == 0 {
-		return fmt.Errorf("collector: empty ndjson stream")
-	}
 	return nil
+}
+
+// decodeSample decodes one NDJSON line as a JSON object, its numbers
+// kept as their text (json.Number) for StreamNDJSON to parse. Anything
+// after the object is an error, as it is for json.Unmarshal.
+func decodeSample(line []byte) (map[string]any, error) {
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.UseNumber()
+	var obj map[string]any
+	if err := dec.Decode(&obj); err != nil {
+		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("data after the sample object")
+	}
+	return obj, nil
 }

@@ -3,6 +3,9 @@ package collector
 import (
 	"errors"
 	"math"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -166,10 +169,59 @@ func TestStreamNDJSONErrors(t *testing.T) {
 		"schema width change": "{\"ts\":1,\"cpu\":1}\n{\"ts\":2,\"cpu\":1,\"io\":2}",
 		"schema name change":  "{\"ts\":1,\"cpu\":1}\n{\"ts\":2,\"io\":2}",
 		"kind flip":           "{\"ts\":1,\"cpu\":1}\n{\"ts\":2,\"cpu\":\"hot\"}",
+		"exponent ts":         `{"ts": 1e3, "cpu": 1}`,
+		"ts with a fraction":  `{"ts": 100.0, "cpu": 1}`,
+		"ts above 2^63":       `{"ts": 9223372036854775808, "cpu": 1}`,
+		"attribute overflow":  `{"ts": 1, "cpu": 1e400}`,
+		"data after sample":   `{"ts": 1, "cpu": 1} {"ts": 2, "cpu": 1}`,
 	}
 	for name, in := range cases {
 		if err := StreamNDJSON(strings.NewReader(in), 0, func(*metrics.Dataset) error { return nil }); err == nil {
 			t.Errorf("%s: no error", name)
 		}
+	}
+
+	// Errors name the 1-based physical line, blank lines counted.
+	lines := []struct {
+		name, in string
+		line     int
+	}{
+		{"first line", `{"cpu": 1}`, 1},
+		{"after a blank line", "{\"ts\":1,\"cpu\":1}\n\n{\"ts\":2}", 3},
+		{"after blank lines", "\n{\"ts\":1,\"cpu\":1}\n\n{\"ts\":2,\"cpu\":\"x\"}", 4},
+		{"bad json after blanks", "\n\n\n{\"ts\":", 4},
+		{"attribute overflow", "{\"ts\":1,\"cpu\":1}\n\n  \n{\"ts\":2,\"cpu\":-1e999}", 4},
+		{"exact ts out of range", "\n{\"ts\":-9223372036854775809,\"cpu\":1}", 2},
+	}
+	lineRE := regexp.MustCompile(`ndjson line (\d+)\b`)
+	for _, tc := range lines {
+		err := StreamNDJSON(strings.NewReader(tc.in), 0, func(*metrics.Dataset) error { return nil })
+		if err == nil {
+			t.Errorf("%s: no error", tc.name)
+			continue
+		}
+		if m := lineRE.FindStringSubmatch(err.Error()); m == nil || m[1] != strconv.Itoa(tc.line) {
+			t.Errorf("%s: err = %v, want it to name ndjson line %d", tc.name, err, tc.line)
+		}
+	}
+}
+
+// TestStreamNDJSONExactTimestamp pins "ts" to an exact int64: 2^53+1
+// does not survive a float64, so a float decode would store 2^53.
+func TestStreamNDJSONExactTimestamp(t *testing.T) {
+	in := "{\"ts\":9007199254740993,\"cpu\":0.1}\n{\"ts\":9223372036854775807,\"cpu\":2}\n"
+	var got []int64
+	if err := StreamNDJSON(strings.NewReader(in), 0, func(c *metrics.Dataset) error {
+		got = append(got, c.Timestamps()...)
+		cpu, _ := c.Column("cpu")
+		if cpu.Num[0] != 0.1 || cpu.Num[1] != 2 {
+			t.Errorf("cpu column = %v, want [0.1 2]", cpu.Num)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int64{9007199254740993, math.MaxInt64}; !slices.Equal(got, want) {
+		t.Fatalf("timestamps = %v, want %v", got, want)
 	}
 }

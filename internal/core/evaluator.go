@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"math/bits"
 	"unsafe"
 
 	"dbsherlock/internal/metrics"
@@ -171,68 +173,21 @@ func (e *Evaluator) column(attr string) (int, bool) {
 // identically to PartitionSeparation but against the built spaces.
 func (e *Evaluator) Separation(pred Predicate) float64 {
 	i, ok := e.column(pred.Attr)
-	if !ok || e.ds.ColumnAt(i).Attr.Type != pred.Type {
+	if !ok {
 		return 0
 	}
+	// A slot holds only a space of its column's own type, so the space
+	// that is set decides the type match: a mistyped predicate, or one
+	// of an invalid type, finds none and scores 0.
 	s := &e.slots[i]
-	if pred.Type == metrics.Numeric {
-		ps := s.num
-		if ps == nil {
-			return 0
-		}
-		// The reference scan counts a partition when
-		// MatchesNumeric(Midpoint(j)) holds; midpoints are monotone
-		// non-decreasing in j, so the matching set is the contiguous
-		// range [jLo, jHi) found by binary search with the exact same
-		// strict comparisons MatchesNumeric applies — the counts, and
-		// therefore the ratios, are identical, without evaluating a
-		// midpoint per partition.
-		r := len(ps.Labels)
-		nA, nN := int(s.nA), int(s.nN)
-		if !pred.HasLower && !pred.HasUpper {
-			return 0 // MatchesNumeric is false everywhere: zero hits on both sides
-		}
-		jLo, jHi := 0, r
-		if pred.HasLower {
-			lo, hi := 0, r
-			for lo < hi {
-				m := int(uint(lo+hi) >> 1)
-				if ps.Midpoint(m) > pred.Lower {
-					hi = m
-				} else {
-					lo = m + 1
-				}
-			}
-			jLo = lo
-		}
-		if pred.HasUpper {
-			lo, hi := jLo, r
-			for lo < hi {
-				m := int(uint(lo+hi) >> 1)
-				if ps.Midpoint(m) < pred.Upper {
-					lo = m + 1
-				} else {
-					hi = m
-				}
-			}
-			jHi = lo
-		}
-		var hitA, hitN int
-		for j := jLo; j < jHi; j++ {
-			switch ps.Labels[j] {
-			case Abnormal:
-				hitA++
-			case Normal:
-				hitN++
-			}
-		}
-		return ratio(hitA, nA) - ratio(hitN, nN)
+	switch {
+	case pred.Type == metrics.Numeric && s.num != nil:
+		return s.numericSeparation(pred)
+	case pred.Type != metrics.Categorical || s.cat == nil:
+		return 0
 	}
 
 	cs := s.cat
-	if cs == nil {
-		return 0
-	}
 	var nA, nN, hitA, hitN int
 	for j, l := range cs.Labels {
 		switch l {
@@ -249,6 +204,111 @@ func (e *Evaluator) Separation(pred Predicate) float64 {
 		}
 	}
 	return ratio(hitA, nA) - ratio(hitN, nN)
+}
+
+// numericSeparation is Separation against the slot's numeric space. The
+// reference scan counts a partition when MatchesNumeric(Midpoint(j))
+// holds. Midpoints are monotone non-decreasing in j, so the partitions
+// above Lower form a suffix and those below Upper a prefix, and the
+// matching set is the range [jLo, jHi) between two unique boundaries.
+// An infinite span's NaN midpoints keep that shape: they fail both
+// tests, and sit at j = 0 before +Inf ones (a finite Min) or at every j.
+// Each boundary is found by a short walk from its arithmetic guess
+// with the exact strict comparisons MatchesNumeric applies, and the
+// range's labels are counted eight at a time: the counts, and therefore
+// the ratios, are identical to the scan's.
+func (s *slot) numericSeparation(pred Predicate) float64 {
+	if !pred.HasLower && !pred.HasUpper {
+		return 0 // MatchesNumeric is false everywhere: zero hits on both sides
+	}
+	ps := s.num
+	jLo, jHi := 0, len(ps.Labels)
+	if pred.HasLower {
+		jLo = ps.firstAbove(pred.Lower)
+	}
+	if pred.HasUpper {
+		jHi = ps.firstNotBelow(pred.Upper, jLo)
+	}
+	hitA, hitN := countLabels(ps.Labels[jLo:jHi])
+	return ratio(hitA, int(s.nA)) - ratio(hitN, int(s.nN))
+}
+
+// guess returns a start for a boundary walk over [lo, hi]: partition
+// j's midpoint lies near Min + (j+½)·width, so the first midpoint at or
+// above x is near ⌊(x−Min)/width + ½⌋, taken here through the cached
+// 1/(Max−Min) so that a guess costs no division. A NaN or infinite
+// position (a NaN or infinite x or space, or a zero width) clamps before
+// the int conversion, and a space without the inverse (a literal one,
+// or an infinite span) starts at lo; the walk is correct from any start.
+func (ps *NumericSpace) guess(x float64, lo, hi int) int {
+	f := (x-ps.Min)*ps.invSpan*float64(ps.R) + 0.5
+	switch {
+	case f >= float64(hi):
+		return hi
+	case f > float64(lo):
+		return int(f)
+	}
+	return lo
+}
+
+// firstAbove returns the first partition whose midpoint is > x, or
+// len(Labels) when none is. From the guess it steps up while partition
+// j fails and down while j−1 passes, which ends on the one boundary
+// whatever the start.
+func (ps *NumericSpace) firstAbove(x float64) int {
+	r := len(ps.Labels)
+	j := ps.guess(x, 0, r)
+	for j < r && !(ps.Midpoint(j) > x) {
+		j++
+	}
+	for j > 0 && ps.Midpoint(j-1) > x {
+		j--
+	}
+	return j
+}
+
+// firstNotBelow returns the first partition at or after lo whose
+// midpoint is not < x, or len(Labels) when every one is: the end of
+// the range below an upper bound, walked like firstAbove.
+func (ps *NumericSpace) firstNotBelow(x float64, lo int) int {
+	r := len(ps.Labels)
+	j := ps.guess(x, lo, r)
+	for j < r && ps.Midpoint(j) < x {
+		j++
+	}
+	for j > lo && !(ps.Midpoint(j-1) < x) {
+		j--
+	}
+	return j
+}
+
+// Byte masks selecting a Label's value in each byte of a 64-bit word:
+// Normal and Abnormal are distinct single bits and Empty is zero, so a
+// masked word's popcount counts one label.
+const (
+	normalBytes   = 0x0101010101010101 * uint64(Normal)
+	abnormalBytes = 0x0101010101010101 * uint64(Abnormal)
+)
+
+// countLabels counts the Abnormal and the Normal labels in labels,
+// reading them eight at a time as 64-bit words and the tail one by one.
+func countLabels(labels []Label) (nA, nN int) {
+	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(labels))), len(labels))
+	for len(b) >= 8 {
+		w := binary.LittleEndian.Uint64(b)
+		nA += bits.OnesCount64(w & abnormalBytes)
+		nN += bits.OnesCount64(w & normalBytes)
+		b = b[8:]
+	}
+	for _, l := range b {
+		switch Label(l) {
+		case Abnormal:
+			nA++
+		case Normal:
+			nN++
+		}
+	}
+	return nA, nN
 }
 
 // NumericSpaceFor returns the built (filtered) numeric partition space

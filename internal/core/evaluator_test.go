@@ -144,3 +144,66 @@ func TestEvaluatorPrepareMatchesLazy(t *testing.T) {
 		}
 	}
 }
+
+// FuzzSeparation checks the numeric Separation against the reference
+// scan (refSeparationScan) on literal spaces: fuzzed Min, Max, R,
+// labels and bounds, including spans whose width overflows to +Inf or
+// underflows to zero and infinite or NaN ends. Min > Max is skipped: a
+// built space never has it. A bound selector below zero leaves its side
+// open, zero takes the fuzzed value, and k > 0 pins the bound to the
+// midpoint of partition (k−1)/3 mod R, one ULP below it, on it or one
+// ULP above it by (k−1) mod 3.
+func FuzzSeparation(f *testing.F) {
+	labels := []byte{0, 1, 2, 2, 0, 1, 1, 2, 0, 0, 2}
+	f.Add(0.0, 100.0, uint16(250), labels, 10.0, 60.0, int16(0), int16(0))
+	f.Add(0.0, 500.0, uint16(250), labels, 0.0, 0.0, int16(301), int16(600))
+	f.Add(-5.0, 5.0, uint16(2), []byte{2, 1}, 0.0, 0.0, int16(1), int16(-1))
+	f.Add(-math.MaxFloat64, math.MaxFloat64, uint16(7), labels, 1.0, 0.0, int16(0), int16(-1))
+	f.Add(0.0, math.MaxFloat64, uint16(3), labels, 0.0, 0.0, int16(9), int16(3))
+	f.Add(0.0, 5e-324, uint16(250), labels, 0.0, 0.0, int16(0), int16(0))
+	f.Add(1.0, math.Nextafter(1, 2), uint16(1000), labels, 1.0, 2.0, int16(0), int16(0))
+	f.Add(1.0, math.Inf(1), uint16(5), labels, 3.0, 0.0, int16(0), int16(2))
+	f.Add(math.Inf(-1), 1.0, uint16(5), labels, 3.0, 0.0, int16(0), int16(-1))
+	f.Add(0.0, 1.0, uint16(64), labels, math.NaN(), math.Inf(1), int16(0), int16(0))
+	f.Fuzz(func(t *testing.T, min, max float64, r uint16, seed []byte, lower, upper float64, lowerAt, upperAt int16) {
+		if min > max || len(seed) == 0 {
+			t.Skip()
+		}
+		n := 1 + int(r)%2048
+		ps := &NumericSpace{Attr: "x", Min: min, Max: max, R: n, Labels: make([]Label, n), invSpan: 1 / (max - min)}
+		s := slot{num: ps}
+		for j := range ps.Labels {
+			ps.Labels[j] = Label(seed[j%len(seed)] % 3)
+			switch ps.Labels[j] {
+			case Abnormal:
+				s.nA++
+			case Normal:
+				s.nN++
+			}
+		}
+		bound := func(at int16, v float64) (bool, float64) {
+			switch {
+			case at < 0:
+				return false, 0
+			case at == 0:
+				return true, v
+			}
+			k := int(at) - 1
+			m := ps.Midpoint(k / 3 % n)
+			switch k % 3 {
+			case 0:
+				m = math.Nextafter(m, math.Inf(-1))
+			case 2:
+				m = math.Nextafter(m, math.Inf(1))
+			}
+			return true, m
+		}
+		pred := Predicate{Attr: "x", Type: metrics.Numeric}
+		pred.HasLower, pred.Lower = bound(lowerAt, lower)
+		pred.HasUpper, pred.Upper = bound(upperAt, upper)
+		got, want := s.numericSeparation(pred), refSeparationScan(ps, pred)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("space [%v, %v] R=%d, pred %+v: Separation = %v, linear scan = %v", min, max, n, pred, got, want)
+		}
+	})
+}

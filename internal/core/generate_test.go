@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dbsherlock/internal/metrics"
@@ -269,6 +270,16 @@ func TestPredicateString(t *testing.T) {
 		{Predicate{Attr: "x", Type: metrics.Numeric, HasUpper: true, Upper: 5}, "x < 5"},
 		{Predicate{Attr: "x", Type: metrics.Numeric, HasLower: true, Lower: 1, HasUpper: true, Upper: 2}, "1 < x < 2"},
 		{Predicate{Attr: "c", Type: metrics.Categorical, Categories: []string{"a", "b"}}, "c ∈ {a, b}"},
+		// Bounds render as fmt's %.4g renders them, edge values
+		// included, and a name longer than String's stack buffer.
+		{Predicate{Attr: "x", Type: metrics.Numeric, HasLower: true, Lower: math.Inf(-1), HasUpper: true, Upper: math.Inf(1)}, "-Inf < x < +Inf"},
+		{Predicate{Attr: "x", Type: metrics.Numeric, HasLower: true, Lower: math.NaN()}, "x > NaN"},
+		{Predicate{Attr: "x", Type: metrics.Numeric, HasUpper: true, Upper: math.Copysign(0, -1)}, "x < -0"},
+		{Predicate{Attr: "x", Type: metrics.Numeric, HasLower: true, Lower: 5e-324, HasUpper: true, Upper: math.MaxFloat64}, "4.941e-324 < x < 1.798e+308"},
+		{Predicate{Attr: "x", Type: metrics.Numeric, HasLower: true, Lower: 1e21}, "x > 1e+21"},
+		{Predicate{Attr: "cpu_usage", Type: metrics.Numeric, HasLower: true, Lower: 123456, HasUpper: true, Upper: 0.00012345}, "1.235e+05 < cpu_usage < 0.0001234"},
+		{Predicate{Attr: "x", Type: metrics.Numeric, HasUpper: true, Upper: -2.5}, "x < -2.5"},
+		{Predicate{Attr: strings.Repeat("a", 70), Type: metrics.Numeric, HasLower: true, Lower: 1, HasUpper: true, Upper: 2}, "1 < " + strings.Repeat("a", 70) + " < 2"},
 	}
 	for _, tc := range tests {
 		if got := tc.p.String(); got != tc.want {

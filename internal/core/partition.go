@@ -42,8 +42,9 @@ type NumericSpace struct {
 	Labels []Label
 
 	// invSpan caches 1/(Max-Min) so the per-tuple IndexOf in the
-	// labeling loop multiplies instead of divides. Zero (e.g. in a
-	// literal-constructed space) falls back to the dividing path.
+	// labeling loop multiplies instead of divides, as does Separation's
+	// boundary guess. Zero (e.g. in a literal-constructed space) falls
+	// back to the dividing path, and the guess to the range's start.
 	invSpan float64
 }
 

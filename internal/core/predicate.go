@@ -7,8 +7,8 @@
 package core
 
 import (
-	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"dbsherlock/internal/metrics"
@@ -74,20 +74,32 @@ func (p Predicate) MatchesRow(ds *metrics.Dataset, i int) bool {
 	return p.MatchesCategorical(col.Cat[i])
 }
 
-// String renders the predicate in the paper's notation.
+// String renders the predicate in the paper's notation, bounds as
+// fmt's %.4g renders them (strconv's 'g' format at precision 4).
 func (p Predicate) String() string {
+	var buf [64]byte
+	b := buf[:0]
 	switch {
 	case p.Type == metrics.Categorical:
-		return fmt.Sprintf("%s ∈ {%s}", p.Attr, strings.Join(p.Categories, ", "))
+		return p.Attr + " ∈ {" + strings.Join(p.Categories, ", ") + "}"
 	case p.HasLower && p.HasUpper:
-		return fmt.Sprintf("%.4g < %s < %.4g", p.Lower, p.Attr, p.Upper)
+		b = strconv.AppendFloat(b, p.Lower, 'g', 4, 64)
+		b = append(b, " < "...)
+		b = append(b, p.Attr...)
+		b = append(b, " < "...)
+		b = strconv.AppendFloat(b, p.Upper, 'g', 4, 64)
 	case p.HasLower:
-		return fmt.Sprintf("%s > %.4g", p.Attr, p.Lower)
+		b = append(b, p.Attr...)
+		b = append(b, " > "...)
+		b = strconv.AppendFloat(b, p.Lower, 'g', 4, 64)
 	case p.HasUpper:
-		return fmt.Sprintf("%s < %.4g", p.Attr, p.Upper)
+		b = append(b, p.Attr...)
+		b = append(b, " < "...)
+		b = strconv.AppendFloat(b, p.Upper, 'g', 4, 64)
 	default:
 		return p.Attr + " (empty predicate)"
 	}
+	return string(b)
 }
 
 // SeparationPower computes Equation (1): the fraction of abnormal-region

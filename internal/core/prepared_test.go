@@ -148,52 +148,85 @@ func TestPreparedInvalidationOnMutation(t *testing.T) {
 	}
 }
 
-// TestEvaluatorSeparationMatchesLinearScan pins the binary-search
+// TestEvaluatorSeparationMatchesLinearScan pins the boundary-walk
 // Separation against the reference full scan over midpoints, across
-// golden spaces and randomized bounds (including bounds on exact
-// midpoints, unbounded sides, and empty predicates).
+// golden spaces at R = 2, 97 and 1000 and randomized bounds: bounds on
+// exact midpoints and one ULP to either side of them, NaN and ±Inf
+// bounds, Lower ≥ Upper, unbounded sides, and empty predicates.
 func TestEvaluatorSeparationMatchesLinearScan(t *testing.T) {
 	rows := 220
 	ds := goldenDataset(t, rows, 5)
 	rng := rand.New(rand.NewSource(5))
+	inf := math.Inf(1)
 	for _, reg := range goldenRegions(rows, rng) {
 		normal := reg.abnormal.Complement()
-		e := newEvaluator(t, ds, reg.abnormal, normal, Params{NumPartitions: 97, Theta: 0.05, Delta: 10})
-		for _, attr := range []string{"gauss_shift", "int_counter", "nan_holes", "constant", "pure_noise"} {
-			ps := e.NumericSpaceFor(attr)
-			var preds []Predicate
-			preds = append(preds,
-				Predicate{Attr: attr, Type: metrics.Numeric},                                // no bounds
-				Predicate{Attr: attr, Type: metrics.Numeric, HasLower: true, Lower: -1e300}, // everything
-				Predicate{Attr: attr, Type: metrics.Numeric, HasUpper: true, Upper: -1e300}, // nothing
-			)
-			if ps != nil {
-				for i := 0; i < 40; i++ {
-					p := Predicate{Attr: attr, Type: metrics.Numeric}
-					// Half the probes sit exactly on midpoints, where the
-					// strict-inequality boundary behavior matters most.
+		for _, r := range []int{2, 97, 1000} {
+			e := newEvaluator(t, ds, reg.abnormal, normal, Params{NumPartitions: r, Theta: 0.05, Delta: 10})
+			for _, attr := range []string{"gauss_shift", "int_counter", "nan_holes", "constant", "pure_noise"} {
+				ps := e.NumericSpaceFor(attr)
+				var preds []Predicate
+				preds = append(preds,
+					Predicate{Attr: attr, Type: metrics.Numeric},                                // no bounds
+					Predicate{Attr: attr, Type: metrics.Numeric, HasLower: true, Lower: -1e300}, // everything
+					Predicate{Attr: attr, Type: metrics.Numeric, HasUpper: true, Upper: -1e300}, // nothing
+				)
+				// Non-finite bounds, alone, paired with themselves and
+				// against an open other side.
+				for _, x := range []float64{math.NaN(), inf, -inf} {
+					preds = append(preds,
+						Predicate{Attr: attr, Type: metrics.Numeric, HasLower: true, Lower: x},
+						Predicate{Attr: attr, Type: metrics.Numeric, HasUpper: true, Upper: x},
+						Predicate{Attr: attr, Type: metrics.Numeric, HasLower: true, Lower: x, HasUpper: true, Upper: x},
+						Predicate{Attr: attr, Type: metrics.Numeric, HasLower: true, Lower: -inf, HasUpper: true, Upper: x},
+						Predicate{Attr: attr, Type: metrics.Numeric, HasLower: true, Lower: x, HasUpper: true, Upper: inf},
+					)
+				}
+				if ps != nil {
+					// A quarter of the probes sit exactly on midpoints,
+					// where the strict-inequality boundary behavior
+					// matters most, and a quarter each one ULP above and
+					// below one.
 					pick := func() float64 {
-						j := rng.Intn(len(ps.Labels))
-						m := ps.Midpoint(j)
-						if rng.Intn(2) == 0 {
+						m := ps.Midpoint(rng.Intn(len(ps.Labels)))
+						switch rng.Intn(4) {
+						case 0:
 							return m
+						case 1:
+							return math.Nextafter(m, inf)
+						case 2:
+							return math.Nextafter(m, -inf)
 						}
 						return m + (rng.Float64()-0.5)*(ps.Max-ps.Min)/10
 					}
-					if rng.Intn(3) != 0 {
-						p.HasLower, p.Lower = true, pick()
+					for i := 0; i < 60; i++ {
+						p := Predicate{Attr: attr, Type: metrics.Numeric}
+						if rng.Intn(3) != 0 {
+							p.HasLower, p.Lower = true, pick()
+						}
+						if rng.Intn(3) != 0 {
+							p.HasUpper, p.Upper = true, pick()
+						}
+						preds = append(preds, p)
 					}
-					if rng.Intn(3) != 0 {
-						p.HasUpper, p.Upper = true, pick()
+					// Lower ≥ Upper: empty intervals at and around a
+					// midpoint.
+					for i := 0; i < 10; i++ {
+						m := ps.Midpoint(rng.Intn(len(ps.Labels)))
+						up, down := math.Nextafter(m, inf), math.Nextafter(m, -inf)
+						preds = append(preds,
+							Predicate{Attr: attr, Type: metrics.Numeric, HasLower: true, Lower: m, HasUpper: true, Upper: m},
+							Predicate{Attr: attr, Type: metrics.Numeric, HasLower: true, Lower: up, HasUpper: true, Upper: m},
+							Predicate{Attr: attr, Type: metrics.Numeric, HasLower: true, Lower: m, HasUpper: true, Upper: down},
+							Predicate{Attr: attr, Type: metrics.Numeric, HasLower: true, Lower: up, HasUpper: true, Upper: down},
+						)
 					}
-					preds = append(preds, p)
 				}
-			}
-			for _, p := range preds {
-				got := e.Separation(p)
-				want := refSeparationScan(ps, p)
-				if got != want {
-					t.Errorf("region=%s pred=%v: Separation = %v, linear scan = %v", reg.name, p, got, want)
+				for _, p := range preds {
+					got := e.Separation(p)
+					want := refSeparationScan(ps, p)
+					if got != want {
+						t.Errorf("region=%s R=%d pred=%+v: Separation = %v, linear scan = %v", reg.name, r, p, got, want)
+					}
 				}
 			}
 		}
